@@ -166,15 +166,13 @@ TEST(SchedulerTest, NextEventTimeOnEmptyIsMax) {
 }
 
 TEST(SchedulerTest, PeekThenEarlierScheduleKeepsPopOrder) {
-  // Regression: peeking an otherwise-empty queue whose only event is
-  // far in the future re-bases the calendar wheel onto it.  An event
-  // scheduled afterwards at an earlier time (but beyond the original
-  // wheel horizon) used to park in the overflow heap and pop AFTER the
-  // later wheel event, moving now() backwards.
+  // A peek must not commit the queue to the event it saw: an event
+  // scheduled after the peek at an earlier time pops first, and now()
+  // never moves backwards.
   Scheduler s;
   std::vector<int> order;
   s.schedule_at(Time::sec(10), [&] { order.push_back(10); });
-  EXPECT_EQ(s.next_event_time(), Time::sec(10));  // re-bases the wheel
+  EXPECT_EQ(s.next_event_time(), Time::sec(10));
   s.schedule_at(Time::sec(1), [&] { order.push_back(1); });
   EXPECT_EQ(s.next_event_time(), Time::sec(1));
   s.run();
@@ -188,7 +186,7 @@ TEST(SchedulerTest, RunUntilThenEarlierScheduleKeepsPopOrder) {
   Scheduler s;
   std::vector<Time> fired;
   s.schedule_at(Time::sec(30), [&] { fired.push_back(s.now()); });
-  s.run_until(Time::ms(1));  // peeks (re-bases), pops nothing
+  s.run_until(Time::ms(1));  // peeks, pops nothing
   s.schedule_at(Time::sec(2), [&] { fired.push_back(s.now()); });
   s.run();
   ASSERT_EQ(fired.size(), 2u);
@@ -352,8 +350,8 @@ TEST(SchedulerTest, RescheduleIntoPastThrows) {
 }
 
 TEST(SchedulerTest, WidelySpreadTimersStayOrdered) {
-  // Sparse events across six decades of time exercise the calendar's
-  // empty-stretch walk / direct-search path.
+  // Sparse events across six decades of time: gaps of any size between
+  // consecutive events keep the pop order sorted.
   Scheduler s;
   std::vector<std::int64_t> fired_ns;
   for (std::int64_t ns : {1ll, 900ll, 40000ll, 2000000ll, 700000000ll,
@@ -366,10 +364,10 @@ TEST(SchedulerTest, WidelySpreadTimersStayOrdered) {
 }
 
 TEST(SchedulerTest, BimodalNearAndFarEventsInterleaveCorrectly) {
-  // The 10k-node shape: dense microsecond-spaced events next to timers
-  // parked seconds out (the overflow heap).  Every far event must fire
-  // in global (time, insertion) order as the wheel's window reaches it,
-  // including far events scheduled from inside near callbacks.
+  // The 10k-node shape: dense nanosecond-spaced events next to timers
+  // parked milliseconds to seconds out.  Every event must fire in global
+  // (time, insertion) order, including far events scheduled from inside
+  // near callbacks.
   Scheduler s;
   std::vector<std::int64_t> fired_ns;
   const auto record = [&s, &fired_ns] {
@@ -389,9 +387,9 @@ TEST(SchedulerTest, BimodalNearAndFarEventsInterleaveCorrectly) {
 }
 
 TEST(SchedulerTest, CancelAndRearmWhileParkedFar) {
-  // Events cancelled or re-armed while waiting in the overflow heap
-  // must neither fire at their stale time nor linger: the heap sweeps
-  // its tombstones and the survivors fire in order.
+  // Events cancelled or re-armed long before their time must neither
+  // fire at their stale time nor linger: their tombstones are dropped
+  // and the survivors fire in order.
   Scheduler s;
   std::vector<int> fired;
   std::vector<EventId> parked;
@@ -409,61 +407,131 @@ TEST(SchedulerTest, CancelAndRearmWhileParkedFar) {
   EXPECT_EQ(s.pending_count(), 0u);
 }
 
+/// Uniform draw in [lo, hi).
+std::int64_t uniform_ns(std::mt19937_64& rng, std::int64_t lo,
+                        std::int64_t hi) {
+  return lo +
+         static_cast<std::int64_t>(rng() % static_cast<std::uint64_t>(hi - lo));
+}
+
 TEST(SchedulerTest, DifferentialStressAgainstReferenceModel) {
   // Randomised schedule/cancel/reschedule mix, mirrored into an ordered
   // std::map reference keyed (time, op-sequence): the scheduler must
-  // fire exactly the reference's order through every internal
-  // grow/shrink/re-fit of the calendar.  Time ties are frequent by
-  // construction (small time range, many events).
-  Scheduler s;
-  std::mt19937_64 rng(0xC0FFEE);
-  using Key = std::pair<std::int64_t, std::uint64_t>;  // (t_ns, seq)
-  std::map<Key, int> ref;                      // pending, in fire order
-  std::map<EventId, std::pair<Key, int>> by_id;  // id -> (key, label)
-  std::vector<int> fired;
-  std::uint64_t seq = 0;
-  int label = 0;
-  const auto rand_in = [&](std::int64_t lo, std::int64_t hi) {
-    return lo + static_cast<std::int64_t>(
-                    rng() % static_cast<std::uint64_t>(hi - lo));
+  // fire exactly the reference's order, including across tombstone
+  // compactions.  Each case draws delays from one input shape.
+  struct Case {
+    const char* name;
+    std::uint64_t seed;
+    int rounds;
+    /// Draws a schedule delay (ns) from the shape.
+    std::int64_t (*delay)(std::mt19937_64&);
+    /// Draws a reschedule delay (ns).
+    std::int64_t (*rearm)(std::mt19937_64&);
+    /// One op in this many drains a few events (0: drain only at the end).
+    std::uint64_t run_every;
   };
-  for (int round = 0; round < 3000; ++round) {
-    const auto op = rng() % 10;
-    if (op < 6 || by_id.empty()) {
-      // Mixed horizons: mostly near-future (dense ties), sometimes far
-      // (exercises the empty-stretch walk and direct search).
-      const std::int64_t delay =
-          (rng() % 8 == 0) ? rand_in(1000000, 100000000) : rand_in(0, 200);
-      const Time at = s.now() + Time::ns(delay);
-      const int l = label++;
-      const EventId id = s.schedule_at(at, [&fired, l] { fired.push_back(l); });
-      const Key key{at.nanoseconds(), seq++};
-      ref.emplace(key, l);
-      by_id.emplace(id, std::make_pair(key, l));
-    } else if (op < 8) {
-      auto it = by_id.begin();
-      std::advance(it, static_cast<std::ptrdiff_t>(rng() % by_id.size()));
-      EXPECT_TRUE(s.cancel(it->first));
-      ref.erase(it->second.first);
-      by_id.erase(it);
-    } else {
-      auto it = by_id.begin();
-      std::advance(it, static_cast<std::ptrdiff_t>(rng() % by_id.size()));
-      const Time at = s.now() + Time::ns(rand_in(0, 200));
-      EXPECT_TRUE(s.reschedule(it->first, at));
-      ref.erase(it->second.first);
-      const Key key{at.nanoseconds(), seq++};
-      ref.emplace(key, it->second.second);
-      it->second.first = key;
+  const Case cases[] = {
+      // Time ties are frequent by construction (small time range, many
+      // events); an occasional delay lands milliseconds out.
+      {"dense_ties", 0xC0FFEE, 3000,
+       [](std::mt19937_64& rng) {
+         return (rng() % 8 == 0) ? uniform_ns(rng, 1000000, 100000000)
+                                 : uniform_ns(rng, 0, 200);
+       },
+       [](std::mt19937_64& rng) { return uniform_ns(rng, 0, 200); }, 0},
+      // The 1k-node arena: bursts of receptions a few ns to a few
+      // microseconds apart, thousands of timers parked seconds out, and
+      // timers cancelled or re-armed constantly while time advances.
+      {"arena", 0xA5E7A, 20000,
+       [](std::mt19937_64& rng) {
+         switch (rng() % 4) {
+           case 0: return uniform_ns(rng, 1000000000, 5000000000);  // timer
+           case 1: return uniform_ns(rng, 0, 4);                    // tie
+           default: return uniform_ns(rng, 0, 5000);                // burst
+         }
+       },
+       [](std::mt19937_64& rng) {
+         return (rng() % 2 == 0) ? uniform_ns(rng, 1000000000, 5000000000)
+                                 : uniform_ns(rng, 0, 300000);
+       },
+       40},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Scheduler s;
+    std::mt19937_64 rng(c.seed);
+    using Key = std::pair<std::int64_t, std::uint64_t>;  // (t_ns, seq)
+    std::map<Key, std::pair<int, EventId>> ref;  // pending, in fire order
+    std::map<EventId, std::pair<Key, int>> by_id;  // id -> (key, label)
+    std::vector<int> fired;
+    std::vector<int> expected;
+    std::uint64_t seq = 0;
+    int label = 0;
+    for (int round = 0; round < c.rounds; ++round) {
+      if (c.run_every != 0 && rng() % c.run_every == 0) {
+        // Drain a few events; the reference pops the same count.
+        const std::size_t n = s.run_steps(1 + rng() % 32);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_FALSE(ref.empty());
+          expected.push_back(ref.begin()->second.first);
+          by_id.erase(ref.begin()->second.second);
+          ref.erase(ref.begin());
+        }
+        ASSERT_EQ(fired, expected);
+        continue;
+      }
+      const auto op = rng() % 10;
+      if (op < 6 || by_id.empty()) {
+        const Time at = s.now() + Time::ns(c.delay(rng));
+        const int l = label++;
+        const EventId id =
+            s.schedule_at(at, [&fired, l] { fired.push_back(l); });
+        const Key key{at.nanoseconds(), seq++};
+        ref.emplace(key, std::make_pair(l, id));
+        by_id.emplace(id, std::make_pair(key, l));
+      } else if (op < 8) {
+        auto it = by_id.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(rng() % by_id.size()));
+        EXPECT_TRUE(s.cancel(it->first));
+        ref.erase(it->second.first);
+        by_id.erase(it);
+      } else {
+        auto it = by_id.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(rng() % by_id.size()));
+        const Time at = s.now() + Time::ns(c.rearm(rng));
+        EXPECT_TRUE(s.reschedule(it->first, at));
+        ref.erase(it->second.first);
+        const Key key{at.nanoseconds(), seq++};
+        ref.emplace(key, std::make_pair(it->second.second, it->first));
+        it->second.first = key;
+      }
     }
+    EXPECT_EQ(s.pending_count(), ref.size());
+    EXPECT_LE(s.queued_entries(), 2 * s.pending_count() + 64);
+    s.run();
+    for (const auto& [key, v] : ref) expected.push_back(v.first);
+    EXPECT_EQ(fired, expected);
+    EXPECT_EQ(s.pending_count(), 0u);
   }
-  EXPECT_EQ(s.pending_count(), ref.size());
+}
+
+TEST(SchedulerTest, RearmedTimerKeepsQueueStorageBounded) {
+  // Every re-arm leaves a tombstone behind; the queue must drop them so
+  // its storage tracks the pending set, not the re-arm count.
+  Scheduler s;
+  for (int i = 1; i <= 4; ++i) s.schedule_at(Time::sec(100 * i), [] {});
+  int fired = 0;
+  const EventId timer = s.schedule_at(Time::ms(1), [&fired] { ++fired; });
+  std::size_t peak = 0;
+  for (int i = 0; i < 1000000; ++i) {
+    ASSERT_TRUE(s.reschedule(timer, Time::ms(1) + Time::ns(i % 997)));
+    peak = std::max(peak, s.queued_entries());
+  }
+  EXPECT_EQ(s.pending_count(), 5u);
+  EXPECT_LE(peak, 2 * s.pending_count() + 64);
   s.run();
-  std::vector<int> expected;
-  expected.reserve(ref.size());
-  for (const auto& [key, l] : ref) expected.push_back(l);
-  EXPECT_EQ(fired, expected);
-  EXPECT_EQ(s.pending_count(), 0u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(s.queued_entries(), 0u);
 }
 
 TEST(SchedulerTest, ManyTicksInterleavedScheduleCancelKeepsOrder) {
