@@ -42,8 +42,10 @@ net::Packet make_routed_packet(std::size_t hops) {
   return p;
 }
 
-/// One broadcast radiated to `k` in-range receivers: every receiver gets
-/// an in-flight copy, then a decode.  This is the RREQ-flood hot loop.
+/// One broadcast radiated to `k` in-range receivers: one delivery wave
+/// (one queue entry, one shared payload reference) runs an arrival and
+/// an end step per receiver, then each receiver decodes.  This is the
+/// RREQ-flood hot loop.
 void BM_BroadcastFanout(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));
   sim::Scheduler sched;

@@ -1,5 +1,7 @@
 #include "harness/campaign_cache.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -48,7 +50,25 @@ std::string CampaignCache::key_of(const CampaignConfig& cfg) {
      << cfg.base.aodv.local_repair << '|'
      << cfg.base.secrecy.enabled << ','
      << static_cast<int>(cfg.base.secrecy.key_bytes) << ','
-     << cfg.base.secrecy.threshold << '|';
+     << cfg.base.secrecy.threshold << '|' << cfg.base.eavesdropper_enabled
+     << '|' << cfg.base.fading_enabled;
+  if (cfg.base.fading_enabled) {
+    // Not fading.range_m: the scenario replaces it with radio_range.
+    os << ',' << cfg.base.fading.faded_fraction << ','
+       << cfg.base.fading.fade_probability << ','
+       << cfg.base.fading.coherence_time.nanoseconds();
+  }
+  os << '|';
+  for (const FlowSpec& f : cfg.base.explicit_flows) {
+    os << f.src << ',' << f.dst << ',' << f.start.nanoseconds() << ';';
+  }
+  os << '|';
+  // Exact bits: two layouts a millimetre apart must not share a key.
+  for (const mobility::Vec2& p : cfg.base.static_positions) {
+    os << std::bit_cast<std::uint64_t>(p.x) << ','
+       << std::bit_cast<std::uint64_t>(p.y) << ';';
+  }
+  os << '|';
   for (Protocol p : cfg.protocols) os << static_cast<int>(p) << ';';
   os << '|';
   for (double s : cfg.speeds) os << s << ';';

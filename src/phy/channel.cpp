@@ -74,6 +74,7 @@ void Channel::radiate(net::NodeId sender, const mobility::Vec2& sp,
   const sim::Time now = sched_->now();
   const double decode_r = prop_->max_range();
   const double cs_r = decode_r * cfg_.cs_range_factor;
+  Wave& w = acquire_wave();
 
   auto offer = [&](net::NodeId id) {
     if (id == sender) return;
@@ -81,25 +82,12 @@ void Channel::radiate(net::NodeId sender, const mobility::Vec2& sp,
     const double d2 = mobility::distance_sq(sp, rp);
     if (d2 > cs_r * cs_r) return;
     const bool decodable = prop_->link_up(sender, sp, id, rp, now);
-    Radio* rx = entries_[id].radio;
     const double d = std::sqrt(d2);
     // Two-ray path-loss surrogate (power ~ d^-4) for the capture rule;
     // clamped below 1 m to keep it finite.
     const double p = std::pow(std::max(d, 1.0), -4.0);
-    const sim::Time delay = propagation_delay(d);
-    // Park the frame per receiver in a pooled in-flight record: the
-    // payload body is shared (refcount bump, no deep copy even for a
-    // k-receiver broadcast), and the delivery closure stays two
-    // pointers wide (no per-packet allocation).
-    const std::uint32_t slot = acquire_rx_slot();
-    PendingRx& pr = rx_pool_[slot];
-    pr.frame = frame;
-    pr.radio = rx;
-    pr.airtime = airtime;
-    pr.decodable = decodable;
-    pr.power = p;
-    sched_->schedule_in(delay, [this, slot] { deliver_rx(slot); },
-                        sim::EventCategory::kChannel);
+    w.arrivals.push_back(Wave::Arrival{{now + propagation_delay(d), 0},
+                                       entries_[id].radio, p, decodable});
   };
 
   if (index_ != nullptr) {
@@ -107,32 +95,77 @@ void Channel::radiate(net::NodeId sender, const mobility::Vec2& sp,
   } else {
     for (net::NodeId id = 0; id < entries_.size(); ++id) offer(id);
   }
-}
-
-std::uint32_t Channel::acquire_rx_slot() {
-  if (rx_free_ != kNoRxSlot) {
-    const std::uint32_t slot = rx_free_;
-    rx_free_ = rx_pool_[slot].next_free;
-    return slot;
+  if (w.arrivals.empty()) {
+    release_wave(w);
+    return;
   }
-  rx_pool_.emplace_back();
-  return static_cast<std::uint32_t>(rx_pool_.size() - 1);
+  // One seq per arrival, in candidate order: the keys a separate event
+  // per receiver would carry, so batching does not change the order.
+  std::uint64_t seq = sched_->reserve_seqs(w.arrivals.size());
+  for (Wave::Arrival& a : w.arrivals) a.key.seq = seq++;
+  std::sort(w.arrivals.begin(), w.arrivals.end(),
+            [](const Wave::Arrival& a, const Wave::Arrival& b) {
+              return a.key < b.key;
+            });
+  // One payload reference for the whole fan-out (a refcount bump).
+  w.frame = frame;
+  w.airtime = airtime;
+  w.end_next = false;
+  const Wave::Key& first = w.arrivals.front().key;
+  sched_->schedule_wave(first.t, first.seq, [this, &w] { step(w); },
+                        sim::EventCategory::kChannel);
 }
 
-void Channel::deliver_rx(std::uint32_t slot) {
-  // Move the frame out before handing it over: begin_reception may kick
-  // off activity that grows the pool and would invalidate a reference.
-  // The moved-from slot holds no payload reference, so a recycled slot
-  // never pins a packet body (which would both delay its return to the
-  // body pool and force spurious CoW clones downstream).
-  Frame frame = std::move(rx_pool_[slot].frame);
-  Radio* radio = rx_pool_[slot].radio;
-  const sim::Time airtime = rx_pool_[slot].airtime;
-  const bool decodable = rx_pool_[slot].decodable;
-  const double power = rx_pool_[slot].power;
-  radio->begin_reception(frame, airtime, decodable, power);
-  rx_pool_[slot].next_free = rx_free_;
-  rx_free_ = slot;
+void Channel::step(Wave& w) {
+  if (w.end_next) {
+    const Wave::End e = w.ends[w.next_end++];
+    e.radio->end_reception(e.slot);
+  } else {
+    const Wave::Arrival a = w.arrivals[w.next_arrival++];
+    const bool last = w.next_arrival == w.arrivals.size();
+    Frame frame = last ? std::move(w.frame) : Frame(w.frame);
+    if (const auto end = a.radio->begin_reception(std::move(frame), w.airtime,
+                                                  a.decodable, a.power)) {
+      // Arrivals run in (t, seq) order, every end is its arrival plus
+      // the one shared airtime, and each end's seq is drawn later than
+      // the one before: ends arrive sorted.
+      const Wave::Key key{end->t, end->seq};
+      sim::require(w.ends.empty() || w.ends.back().key < key,
+                   "Channel: wave end booked out of order");
+      w.ends.push_back(Wave::End{key, a.radio, end->slot});
+    }
+  }
+  const bool arrivals_left = w.next_arrival < w.arrivals.size();
+  const bool ends_left = w.next_end < w.ends.size();
+  if (!arrivals_left && !ends_left) {
+    release_wave(w);
+    return;
+  }
+  w.end_next = ends_left && (!arrivals_left ||
+                             w.ends[w.next_end].key < w.arrivals[w.next_arrival].key);
+  const Wave::Key& next =
+      w.end_next ? w.ends[w.next_end].key : w.arrivals[w.next_arrival].key;
+  sched_->continue_wave(next.t, next.seq,
+                        w.end_next ? sim::EventCategory::kPhy
+                                   : sim::EventCategory::kChannel);
+}
+
+Channel::Wave& Channel::acquire_wave() {
+  if (free_waves_.empty()) {
+    waves_.push_back(std::make_unique<Wave>());
+    return *waves_.back();
+  }
+  Wave& w = *free_waves_.back();
+  free_waves_.pop_back();
+  return w;
+}
+
+void Channel::release_wave(Wave& w) {
+  w.arrivals.clear();
+  w.ends.clear();
+  w.next_arrival = 0;
+  w.next_end = 0;
+  free_waves_.push_back(&w);
 }
 
 void Channel::neighbors_of(net::NodeId id, sim::Time t,

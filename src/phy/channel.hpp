@@ -96,26 +96,50 @@ class Channel {
     const mobility::MobilityModel* mobility;
   };
 
-  /// An in-flight per-receiver frame record, pooled so the propagation
-  /// delivery event captures only {this, slot} — the per-packet fan-out
-  /// never builds a Frame-sized closure.  The frame's payload handle
-  /// shares the transmitted packet body; delivery clears it so recycled
-  /// slots never pin a body in the packet pool.
-  struct PendingRx {
+  /// One transmission's delivery wave.  Every radio in carrier-sense
+  /// range gets an arrival step (the radio's begin_reception) and, unless
+  /// it is deaf, an end step (end_reception).  All steps run from one
+  /// scheduler entry, re-keyed to the next step, and each step keeps the
+  /// (time, seq) key its own event would have had, so the event order is
+  /// the same as with two events per receiver.  Pooled: the vectors keep
+  /// their capacity, so steady state allocates nothing.
+  struct Wave {
+    /// A step's place in the event order.
+    struct Key {
+      sim::Time t;
+      std::uint64_t seq;
+      friend auto operator<=>(const Key&, const Key&) = default;
+    };
+    struct Arrival {
+      Key key;
+      Radio* radio;
+      double power;
+      bool decodable;
+    };
+    struct End {
+      Key key;
+      Radio* radio;
+      std::uint32_t slot;
+    };
+    /// Shared by every arrival; the last arrival takes it, so no packet
+    /// body stays pinned past the arrival phase.
     Frame frame;
-    Radio* radio = nullptr;
     sim::Time airtime;
-    bool decodable = false;
-    double power = 0.0;
-    std::uint32_t next_free = 0;
+    std::vector<Arrival> arrivals;  ///< sorted by key
+    std::vector<End> ends;          ///< appended in key order
+    std::size_t next_arrival = 0;
+    std::size_t next_end = 0;
+    bool end_next = false;  ///< the booked step is ends[next_end]
   };
 
-  std::uint32_t acquire_rx_slot();
-  void deliver_rx(std::uint32_t slot);
-  /// Shared fan-out of transmit() and inject(): schedules one reception
-  /// per radio within carrier-sense range of `sp`.
+  /// Shared fan-out of transmit() and inject(): starts one delivery wave
+  /// over the radios within carrier-sense range of `sp`.
   void radiate(net::NodeId sender, const mobility::Vec2& sp,
                const Frame& frame, sim::Time airtime);
+  /// Runs the wave's booked step, then books the next one or retires it.
+  void step(Wave& w);
+  Wave& acquire_wave();
+  void release_wave(Wave& w);
 
   sim::Scheduler* sched_;
   const PropagationModel* prop_;
@@ -125,9 +149,10 @@ class Channel {
   std::unique_ptr<NeighborIndex> index_;
   double max_speed_ = 0.0;
 
-  std::vector<PendingRx> rx_pool_;
-  std::uint32_t rx_free_ = kNoRxSlot;
-  static constexpr std::uint32_t kNoRxSlot = 0xffffffffu;
+  /// Wave pool; address-stable, because a step may re-enter radiate()
+  /// (a receiver's MAC transmits) and acquire another wave.
+  std::vector<std::unique_ptr<Wave>> waves_;
+  std::vector<Wave*> free_waves_;
 };
 
 }  // namespace mts::phy

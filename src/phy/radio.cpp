@@ -36,12 +36,14 @@ void Radio::tx_done() {
   medium_edge(/*was_busy=*/true);
 }
 
-void Radio::begin_reception(const Frame& frame, sim::Time airtime,
-                            bool decodable, double rx_power) {
+std::optional<Radio::ReceptionEnd> Radio::begin_reception(Frame frame,
+                                                          sim::Time airtime,
+                                                          bool decodable,
+                                                          double rx_power) {
   if (transmitting()) {
     // Deaf while keyed up; the energy passes unnoticed (it also cannot
     // corrupt anything: we are not receiving).
-    return;
+    return std::nullopt;
   }
   const bool was_busy = medium_busy();
   // Capture (ns-2 WirelessPhy): the newcomer is noise to any ongoing
@@ -62,12 +64,14 @@ void Radio::begin_reception(const Frame& frame, sim::Time airtime,
     slot = free_.back();
     free_.pop_back();
   }
-  slots_[slot] =
-      Reception{frame, sched_->now() + airtime, corrupt, decodable, rx_power};
+  slots_[slot] = Reception{std::move(frame), corrupt, decodable, rx_power};
   active_.push_back(slot);
-  sched_->schedule_in(airtime, [this, slot] { end_reception(slot); },
-                      sim::EventCategory::kPhy);
+  // The end's seq is drawn here, where a self-scheduled end event would
+  // draw it: before the busy edge below, whose callback may schedule.
+  const ReceptionEnd end{sched_->now() + airtime, sched_->reserve_seqs(1),
+                         slot};
   if (!was_busy) medium_edge(false);
+  return end;
 }
 
 void Radio::end_reception(std::uint32_t slot) {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "net/counters.hpp"
@@ -61,12 +62,24 @@ class Radio {
   /// are corrupted (half duplex).
   void start_transmit(const Frame& frame, sim::Time airtime);
 
+  /// Where a reception's end sits in the event order: the channel runs
+  /// end_reception(slot) at (t, seq) as a step of its delivery wave.
+  struct ReceptionEnd {
+    sim::Time t;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+
   /// Channel-facing: energy begins arriving.  `decodable` is false for
   /// frames inside carrier-sense range but beyond decode range.
   /// `rx_power` is a relative received-power figure (the channel's
-  /// path-loss surrogate) used for the capture rule.
-  void begin_reception(const Frame& frame, sim::Time airtime, bool decodable,
-                       double rx_power);
+  /// path-loss surrogate) used for the capture rule.  Returns the
+  /// reception's end, or nullopt when the radio is deaf (transmitting).
+  std::optional<ReceptionEnd> begin_reception(Frame frame, sim::Time airtime,
+                                              bool decodable, double rx_power);
+
+  /// Channel-facing: the reception in `slot` ends now.
+  void end_reception(std::uint32_t slot);
 
   /// ns-2 `WirelessPhy` capture rule: an ongoing reception survives a
   /// new arrival iff it is at least this power ratio stronger (10 dB);
@@ -80,14 +93,12 @@ class Radio {
  private:
   struct Reception {
     Frame frame;
-    sim::Time end;
     bool corrupt;
     bool decodable;
     double power;
   };
 
   void tx_done();
-  void end_reception(std::uint32_t slot);
   void medium_edge(bool was_busy);
 
   sim::Scheduler* sched_;
@@ -105,8 +116,9 @@ class Radio {
   /// recycled through `free_` and the (tiny) set of in-flight
   /// receptions is tracked by index in `active_`, so the per-frame
   /// receive path stops allocating once the pool has warmed up.  A
-  /// slot's end event is the only thing that releases it, so an index
-  /// captured by that event stays valid for the slot's whole lifetime.
+  /// slot's end step is the only thing that releases it, so the index
+  /// the channel books for that step stays valid for the slot's whole
+  /// lifetime.
   std::vector<Reception> slots_;
   std::vector<std::uint32_t> free_;
   std::vector<std::uint32_t> active_;

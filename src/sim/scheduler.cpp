@@ -41,6 +41,7 @@ std::uint32_t Scheduler::acquire_slot() {
 void Scheduler::release_slot(std::uint32_t s) {
   Slot& slot = slot_at(s);
   slot.fn.reset();
+  slot.wave = false;
   slot.live_key = kDeadKey;  // any remaining heap entry tombstones
   ++slot.gen;                // ids referring to this slot go stale here
   slot.next_free = free_head_;
@@ -103,8 +104,17 @@ bool Scheduler::peek_live() const {
   return !heap_.empty();
 }
 
-EventFn Scheduler::take_top() {
+void Scheduler::dispatch_top() {
   const Entry e = heap_.front();
+  const auto s = static_cast<std::uint32_t>(e.key & kSlotMask);
+  Slot& slot = slot_at(s);
+  now_ = e.t;
+  ++executed_;
+  ++executed_by_[static_cast<std::size_t>(slot.cat)];
+  if (slot.wave) {
+    run_wave_step(s);
+    return;
+  }
   pop_min();
   if (!heap_.empty()) {
     // Overlap the next event's slot line with this callback's execution.
@@ -112,14 +122,34 @@ EventFn Scheduler::take_top() {
         &slot_at(static_cast<std::uint32_t>(heap_.front().key & kSlotMask)),
         0, 1);
   }
-  const auto s = static_cast<std::uint32_t>(e.key & kSlotMask);
-  now_ = e.t;
-  EventFn fn = std::move(slot_at(s).fn);
-  ++executed_by_[static_cast<std::size_t>(slot_at(s).cat)];
+  EventFn fn = std::move(slot.fn);
   release_slot(s);  // the event's id dies before its callback runs
   --live_count_;
-  ++executed_;
-  return fn;
+  fn();
+}
+
+void Scheduler::run_wave_step(std::uint32_t s) {
+  // The step runs with the wave's entry live at the root.  Everything
+  // the step inserts sorts after it (time >= now_, a fresh seq), and a
+  // compaction keeps it there (it is live and the minimum), so afterwards
+  // the root is re-keyed in place instead of popped and pushed.
+  Slot& slot = slot_at(s);
+  const std::uint64_t key = heap_.front().key;
+  stepping_ = s;
+  wave_next_.key = kDeadKey;
+  slot.fn();
+  stepping_ = kNullIndex;
+  require(heap_.front().key == key, "Scheduler: wave entry left the root");
+  if (wave_next_.key != kDeadKey) {
+    slot.live_key = wave_next_.key;
+    slot.cat = wave_next_cat_;
+    heap_.front() = wave_next_;
+    sift_down(0);
+    return;
+  }
+  pop_min();
+  release_slot(s);
+  --live_count_;
 }
 
 // ---------------------------------------------------------------------------
@@ -155,7 +185,7 @@ Time Scheduler::next_event_time() const {
 void Scheduler::run() {
   stopped_ = false;
   while (!stopped_ && peek_live()) {
-    take_top()();
+    dispatch_top();
   }
 }
 
@@ -164,7 +194,7 @@ void Scheduler::run_until(Time end) {
   stopped_ = false;
   while (!stopped_ && peek_live()) {
     if (top().t > end) break;
-    take_top()();
+    dispatch_top();
   }
   if (now_ < end) now_ = end;
 }
@@ -174,7 +204,7 @@ std::size_t Scheduler::run_steps(std::size_t n) {
   std::size_t done = 0;
   while (done < n && !stopped_ && peek_live()) {
     ++done;
-    take_top()();
+    dispatch_top();
   }
   return done;
 }

@@ -18,8 +18,8 @@ namespace mts::sim {
 /// schedules land in kOther.
 enum class EventCategory : std::uint8_t {
   kOther = 0,   ///< untagged (tests, harness glue)
-  kChannel,     ///< per-receiver propagation deliveries
-  kPhy,         ///< radio tx-done / reception-end
+  kChannel,     ///< per-receiver arrivals (delivery-wave steps)
+  kPhy,         ///< radio tx-done / reception-end (delivery-wave steps)
   kMac,         ///< 802.11 access / backoff / response / SIFS timers
   kRouting,     ///< discovery timers, jittered rebroadcasts, purges
   kTransport,   ///< TCP RTO / start timers
@@ -80,17 +80,9 @@ class Scheduler {
   /// the execution to a subsystem (kept across reschedule()).
   EventId schedule_at(Time t, EventFn fn,
                       EventCategory cat = EventCategory::kOther) {
-    require(t >= now_, "Scheduler: cannot schedule into the past");
-    require(static_cast<bool>(fn), "Scheduler: empty callback");
-    if (!fn.is_inline()) ++heap_fallbacks_;
-    const std::uint32_t s = acquire_slot();
-    Slot& slot = slot_at(s);
-    slot.fn = std::move(fn);
-    slot.cat = cat;
-    slot.live_key = next_key(s);
-    insert(Entry{t, slot.live_key});
-    ++live_count_;
-    return make_id(s, slot.gen);
+    const std::uint32_t s =
+        add(t, reserve_seqs(1), std::move(fn), cat, /*wave=*/false);
+    return make_id(s, slot_at(s).gen);
   }
 
   /// Schedules `fn` after `delay` (must be >= 0).
@@ -130,6 +122,44 @@ class Scheduler {
   /// Requests run()/run_until() to return after the current event.
   void stop() { stopped_ = true; }
 
+  // --- Delivery waves ------------------------------------------------
+  // A wave is one pending entry that runs a series of steps, each keyed
+  // (time, seq) exactly as the individually scheduled event it stands
+  // for, so pop order is the same as scheduling every step on its own.
+  // The channel uses one wave per transmission instead of two events per
+  // receiver.
+
+  /// Reserves `k` consecutive sequence numbers and returns the first:
+  /// the seqs `k` schedule calls made at this point would have drawn.
+  std::uint64_t reserve_seqs(std::uint64_t k) {
+    require(next_seq_ + k <= (1ull << 40),
+            "Scheduler: sequence space exhausted");
+    const std::uint64_t first = next_seq_;
+    next_seq_ += k;
+    return first;
+  }
+
+  /// Schedules a wave whose first step is keyed (t, seq), `seq` taken
+  /// from reserve_seqs().  `step` runs once per step; it books the next
+  /// step with continue_wave(), and the wave ends after a step that books
+  /// none.  Each step counts as one executed event of its category.
+  void schedule_wave(Time t, std::uint64_t seq, EventFn step,
+                     EventCategory cat) {
+    require(seq < next_seq_, "Scheduler: wave seq was not reserved");
+    add(t, seq, std::move(step), cat, /*wave=*/true);
+  }
+
+  /// From inside a wave step only: keys the wave's next step at (t, seq)
+  /// with t >= now() and `seq` taken from reserve_seqs().
+  void continue_wave(Time t, std::uint64_t seq, EventCategory cat) {
+    require(stepping_ != kNullIndex, "Scheduler: continue_wave outside a step");
+    require(t >= now_, "Scheduler: cannot schedule into the past");
+    wave_next_ = Entry{t, pack_key(seq, stepping_)};
+    wave_next_cat_ = cat;
+  }
+
+  /// Pending entries; an in-flight wave counts as one, however many
+  /// steps it has left.
   [[nodiscard]] std::size_t pending_count() const { return live_count_; }
   [[nodiscard]] std::uint64_t executed_count() const { return executed_; }
 
@@ -171,6 +201,7 @@ class Scheduler {
     std::uint32_t gen = 1;   ///< bumped on release; validates EventIds
     std::uint32_t next_free = kNullIndex;
     EventCategory cat = EventCategory::kOther;
+    bool wave = false;  ///< `fn` is a wave step, run in place per step
   };
 
   /// Keyed (t, seq): ordering compares are two integer compares.  seq is
@@ -220,8 +251,29 @@ class Scheduler {
   /// Mints the queue key for slot `s`: fresh insertion sequence in the
   /// high bits (the tie-break), slot index packed low.
   [[nodiscard]] std::uint64_t next_key(std::uint32_t s) {
-    require(next_seq_ < (1ull << 40), "Scheduler: sequence space exhausted");
-    return (next_seq_++ << kSlotBits) | s;
+    return pack_key(reserve_seqs(1), s);
+  }
+  [[nodiscard]] static std::uint64_t pack_key(std::uint64_t seq,
+                                              std::uint32_t s) {
+    return (seq << kSlotBits) | s;
+  }
+
+  /// Files `fn` in a fresh slot with a queue entry keyed (t, seq);
+  /// returns the slot.
+  std::uint32_t add(Time t, std::uint64_t seq, EventFn fn, EventCategory cat,
+                    bool wave) {
+    require(t >= now_, "Scheduler: cannot schedule into the past");
+    require(static_cast<bool>(fn), "Scheduler: empty callback");
+    if (!fn.is_inline()) ++heap_fallbacks_;
+    const std::uint32_t s = acquire_slot();
+    Slot& slot = slot_at(s);
+    slot.fn = std::move(fn);
+    slot.cat = cat;
+    slot.wave = wave;
+    slot.live_key = pack_key(seq, s);
+    insert(Entry{t, slot.live_key});
+    ++live_count_;
+    return s;
   }
 
   [[nodiscard]] bool entry_dead(const Entry& e) const {
@@ -248,9 +300,10 @@ class Scheduler {
   bool peek_live() const;
   /// The minimum live entry; valid right after peek_live() == true.
   [[nodiscard]] const Entry& top() const { return heap_.front(); }
-  /// Detaches the live top event and hands back its callback; updates
-  /// now_.  Pre-condition: peek_live() returned true.
-  EventFn take_top();
+  /// Runs the live top event (or wave step) at its time.
+  /// Pre-condition: peek_live() returned true.
+  void dispatch_top();
+  void run_wave_step(std::uint32_t s);
 
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 1;
@@ -259,6 +312,10 @@ class Scheduler {
   std::uint64_t heap_fallbacks_ = 0;
   std::size_t live_count_ = 0;
   bool stopped_ = false;
+  /// Slot of the wave whose step is running, and the step it booked.
+  std::uint32_t stepping_ = kNullIndex;
+  Entry wave_next_{};
+  EventCategory wave_next_cat_ = EventCategory::kOther;
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t slot_count_ = 0;

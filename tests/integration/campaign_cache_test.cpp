@@ -3,6 +3,7 @@
 // affects results must change the key.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -85,6 +86,65 @@ TEST_F(CampaignCacheTest, KeyChangesWithResultAffectingKnobs) {
   other = base;
   other.threads = 7;
   EXPECT_EQ(CampaignCache::key_of(base), CampaignCache::key_of(other));
+}
+
+TEST_F(CampaignCacheTest, KeyChangesWithScenarioShapeKnobs) {
+  // Each of these changes what a run computes, so each must change the
+  // key; a faded run must never be served the unfaded rows.
+  const CampaignConfig base = tiny();
+  const std::string key = CampaignCache::key_of(base);
+  const std::vector<std::pair<const char*, void (*)(ScenarioConfig&)>>
+      knobs = {
+          {"fading_enabled", [](ScenarioConfig& c) { c.fading_enabled = true; }},
+          {"fading.faded_fraction",
+           [](ScenarioConfig& c) {
+             c.fading_enabled = true;
+             c.fading.faded_fraction = 0.5;
+           }},
+          {"fading.fade_probability",
+           [](ScenarioConfig& c) {
+             c.fading_enabled = true;
+             c.fading.fade_probability = 0.3;
+           }},
+          {"fading.coherence_time",
+           [](ScenarioConfig& c) {
+             c.fading_enabled = true;
+             c.fading.coherence_time = sim::Time::sec(1);
+           }},
+          {"eavesdropper_enabled",
+           [](ScenarioConfig& c) { c.eavesdropper_enabled = false; }},
+          {"explicit_flows",
+           [](ScenarioConfig& c) { c.explicit_flows = {FlowSpec{}}; }},
+          {"explicit_flows.start",
+           [](ScenarioConfig& c) {
+             c.explicit_flows = {FlowSpec{0, 1, sim::Time::sec(2)}};
+           }},
+          {"static_positions",
+           [](ScenarioConfig& c) {
+             c.static_positions.assign(c.node_count, mobility::Vec2{1, 1});
+           }},
+          {"static_positions.millimetre",
+           [](ScenarioConfig& c) {
+             c.static_positions.assign(c.node_count, mobility::Vec2{1, 1});
+             c.static_positions.back().x += 0.001;
+           }},
+      };
+  std::vector<std::string> seen = {key};
+  for (const auto& [name, perturb] : knobs) {
+    SCOPED_TRACE(name);
+    CampaignConfig other = base;
+    perturb(other.base);
+    const std::string k = CampaignCache::key_of(other);
+    EXPECT_EQ(std::find(seen.begin(), seen.end(), k), seen.end());
+    seen.push_back(k);
+  }
+
+  // Fading parameters cannot matter while fading is off, and the
+  // scenario always replaces fading.range_m with radio_range.
+  CampaignConfig other = base;
+  other.base.fading.faded_fraction = 0.5;
+  other.base.fading.range_m = 200;
+  EXPECT_EQ(CampaignCache::key_of(other), key);
 }
 
 TEST_F(CampaignCacheTest, AdversaryAxisRoundTripsAndChangesTheKey) {

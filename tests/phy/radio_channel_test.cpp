@@ -43,6 +43,25 @@ class RadioChannelTest : public ::testing::Test {
     channel_->finalize();
   }
 
+  /// Broadcasts a packet from radio 0 of a 0-100-200 m line, stops the
+  /// run at `stop` and tears the medium down: every packet body must be
+  /// back in the pool.
+  void expect_teardown_releases_packet(sim::Time stop) {
+    const auto live = net::packet_pool_stats().live();
+    build({{0, 0}, {100, 0}, {200, 0}});
+    {
+      Frame f = frame(0, net::kBroadcastId);
+      f.payload.mutable_common().kind = net::PacketKind::kTcpData;
+      radios_[0]->start_transmit(f, sim::Time::ms(1));
+    }
+    sched_.run_until(stop);
+    EXPECT_EQ(sched_.executed_count(sim::EventCategory::kPhy), 0u);
+    EXPECT_GT(net::packet_pool_stats().live(), live);
+    radios_.clear();
+    channel_.reset();
+    EXPECT_EQ(net::packet_pool_stats().live(), live);
+  }
+
   Frame frame(net::NodeId tx, net::NodeId rx) {
     Frame f;
     f.transmitter = tx;
@@ -262,6 +281,102 @@ TEST_F(RadioChannelTest, StatsCountDecodes) {
   sched_.run();
   EXPECT_EQ(radios_[0]->frames_sent(), 1u);
   EXPECT_EQ(radios_[1]->frames_decoded(), 1u);
+}
+
+TEST_F(RadioChannelTest, TransmissionWithNoReceiversSchedulesNothing) {
+  build({{0, 0}, {600, 0}});
+  radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1));
+  EXPECT_EQ(sched_.pending_count(), 1u);  // the sender's own tx-done only
+  sched_.run();
+  EXPECT_EQ(sched_.executed_count(sim::EventCategory::kChannel), 0u);
+  EXPECT_EQ(sched_.executed_count(sim::EventCategory::kPhy), 1u);
+}
+
+TEST_F(RadioChannelTest, OneWaveEntryPerTransmission) {
+  // Three receivers: six steps (an arrival and an end each), one entry.
+  build({{0, 0}, {100, 0}, {150, 0}, {200, 0}});
+  radios_[0]->start_transmit(frame(0, net::kBroadcastId), sim::Time::ms(1));
+  EXPECT_EQ(sched_.pending_count(), 2u);  // the wave and tx-done
+  sched_.run();
+  EXPECT_EQ(sched_.executed_count(sim::EventCategory::kChannel), 3u);
+  EXPECT_EQ(sched_.executed_count(sim::EventCategory::kPhy), 4u);
+  for (int i = 1; i <= 3; ++i) EXPECT_EQ(received_[i].size(), 1u);
+}
+
+TEST_F(RadioChannelTest, DeafReceiverGetsNoEndStep) {
+  // Radio 1 is keyed up when 0's frame arrives: that arrival is a step
+  // (it counts) but books no end.  Steps: two arrivals, one end (radio
+  // 0's corrupted reception of 1's frame) and two tx-dones.
+  build({{0, 0}, {100, 0}});
+  radios_[1]->start_transmit(frame(1, 0), sim::Time::ms(2));
+  sched_.run_until(sim::Time::us(10));
+  radios_[0]->start_transmit(frame(0, 1), sim::Time::us(50));
+  sched_.run();
+  EXPECT_EQ(sched_.executed_count(sim::EventCategory::kChannel), 2u);
+  EXPECT_EQ(sched_.executed_count(sim::EventCategory::kPhy), 3u);
+  EXPECT_EQ(radios_[0]->collisions(), 1u);
+  EXPECT_EQ(radios_[1]->collisions(), 0u);
+  EXPECT_TRUE(busy_log_[1].empty() || !busy_log_[1].back());
+}
+
+TEST_F(RadioChannelTest, ReentrantTransmitDuringAStep) {
+  // Radio 1 answers inside its end step, while 0's wave still owes radio
+  // 2 its end: the answer starts a second wave mid-flight.  2 hears only
+  // 0, 3 hears only 1.
+  build({{0, 0}, {100, 0}, {-200, 0}, {300, 0}});
+  bool answered = false;
+  radios_[1]->set_callbacks(Radio::Callbacks{
+      [&](const Frame& f) {
+        received_[1].push_back(f);
+        if (answered) return;
+        answered = true;
+        radios_[1]->start_transmit(frame(1, net::kBroadcastId),
+                                   sim::Time::ms(1));
+      },
+      nullptr,
+      nullptr,
+      nullptr,
+  });
+  radios_[0]->start_transmit(frame(0, net::kBroadcastId), sim::Time::ms(1));
+  sched_.run();
+  ASSERT_TRUE(answered);
+  ASSERT_EQ(received_[2].size(), 1u);
+  EXPECT_EQ(received_[2][0].transmitter, 0u);
+  ASSERT_EQ(received_[0].size(), 1u);
+  EXPECT_EQ(received_[0][0].transmitter, 1u);
+  ASSERT_EQ(received_[3].size(), 1u);
+  EXPECT_EQ(received_[3][0].transmitter, 1u);
+  EXPECT_EQ(sched_.pending_count(), 0u);
+}
+
+TEST_F(RadioChannelTest, ReceptionEndRunsBeforeWhatItsBusyEdgeSchedules) {
+  // The end's seq is drawn before the busy-edge callback runs, where a
+  // self-scheduled end event drew it: an event that callback schedules
+  // for the same instant still runs after the end.
+  build({{0, 0}, {100, 0}});
+  std::vector<int> order;
+  radios_[1]->set_callbacks(Radio::Callbacks{
+      [&order](const Frame&) { order.push_back(1); },
+      [&](bool busy) {
+        if (!busy) return;
+        sched_.schedule_in(sim::Time::ms(1), [&order] { order.push_back(2); });
+      },
+      nullptr,
+      nullptr,
+  });
+  radios_[0]->start_transmit(frame(0, 1), sim::Time::ms(1));
+  sched_.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST_F(RadioChannelTest, WaveStoppedMidArrivalsReleasesItsPacket) {
+  // The far arrival is still ahead: the wave holds the frame.
+  expect_teardown_releases_packet(sim::Time::ns(500));
+}
+
+TEST_F(RadioChannelTest, WaveStoppedBeforeItsEndsReleasesItsPacket) {
+  // Both arrivals are done: the receptions hold the frame.
+  expect_teardown_releases_packet(sim::Time::us(10));
 }
 
 }  // namespace

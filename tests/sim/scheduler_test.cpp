@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <random>
 #include <utility>
@@ -553,6 +554,298 @@ TEST(SchedulerTest, ManyTicksInterleavedScheduleCancelKeepsOrder) {
   s.run();
   ASSERT_EQ(order.size(), 16u);
   EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+}
+
+TEST(SchedulerTest, WaveStepsCountPerCategoryAndFinishEmpty) {
+  // A wave of three steps is one pending entry throughout; each step
+  // counts as one executed event of the category booked for it, and the
+  // entry and its slot go away after a step that books nothing.
+  Scheduler s;
+  const std::uint64_t seq = s.reserve_seqs(3);
+  std::vector<std::pair<std::int64_t, int>> fired;  // (now ns, step)
+  int step = 0;
+  s.schedule_wave(
+      Time::us(1), seq,
+      [&] {
+        fired.emplace_back(s.now().nanoseconds(), step);
+        switch (step++) {
+          case 0:
+            s.continue_wave(Time::us(2), seq + 1, EventCategory::kPhy);
+            break;
+          case 1:
+            s.continue_wave(Time::us(2), seq + 2, EventCategory::kChannel);
+            break;
+          default:
+            break;  // nothing left: the wave ends
+        }
+      },
+      EventCategory::kChannel);
+  EXPECT_EQ(s.pending_count(), 1u);
+  EXPECT_EQ(s.next_event_time(), Time::us(1));
+  EXPECT_EQ(s.run_steps(1), 1u);
+  EXPECT_EQ(s.pending_count(), 1u);
+  EXPECT_EQ(s.queued_entries(), 1u);
+  EXPECT_EQ(s.next_event_time(), Time::us(2));
+  s.run();
+  EXPECT_EQ(fired, (std::vector<std::pair<std::int64_t, int>>{
+                       {1000, 0}, {2000, 1}, {2000, 2}}));
+  EXPECT_EQ(s.executed_count(), 3u);
+  EXPECT_EQ(s.executed_count(EventCategory::kChannel), 2u);
+  EXPECT_EQ(s.executed_count(EventCategory::kPhy), 1u);
+  EXPECT_EQ(s.pending_count(), 0u);
+  EXPECT_EQ(s.queued_entries(), 0u);
+}
+
+TEST(SchedulerTest, WaveOrdersLikeTheEventsItReplaces) {
+  // Seqs reserved for a wave sort before anything scheduled after the
+  // reservation at the same time, and after anything scheduled before.
+  Scheduler s;
+  std::vector<int> order;
+  s.schedule_at(Time::us(5), [&order] { order.push_back(0); });
+  const std::uint64_t seq = s.reserve_seqs(2);
+  s.schedule_at(Time::us(5), [&order] { order.push_back(3); });
+  bool second = false;
+  s.schedule_wave(
+      Time::us(5), seq,
+      [&] {
+        order.push_back(second ? 2 : 1);
+        if (!second) {
+          second = true;
+          // Scheduled inside the step at the step's own time: still
+          // after the wave's next step, whose seq is older.
+          s.schedule_at(Time::us(5), [&order] { order.push_back(4); });
+          s.continue_wave(Time::us(5), seq + 1, EventCategory::kChannel);
+        }
+      },
+      EventCategory::kChannel);
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(SchedulerTest, ContinueWaveOutsideAStepThrows) {
+  Scheduler s;
+  const std::uint64_t seq = s.reserve_seqs(1);
+  EXPECT_THROW(s.continue_wave(Time::us(1), seq, EventCategory::kChannel),
+               SimError);
+  s.schedule_at(Time::us(1), [&s, seq] {
+    s.continue_wave(Time::us(2), seq, EventCategory::kChannel);
+  });
+  EXPECT_THROW(s.run(), SimError);
+}
+
+/// One random program of plain events and waves, run either through the
+/// wave seam or with every wave step scheduled as its own event.  Both
+/// modes draw the same seqs at the same moments (a wave's reservation
+/// stands for its arrivals' schedules; an end's seq for the end's
+/// schedule), so they must fire the same labels in the same order.
+/// Steps schedule, cancel and re-arm plain events, start nested waves,
+/// and now and then cancel most plain events at once, enough to compact
+/// the queue in the middle of a wave step.
+class WaveProgram {
+ public:
+  WaveProgram(bool use_waves, std::uint64_t seed)
+      : use_waves_(use_waves), rng_(seed) {}
+
+  Scheduler s;
+  std::vector<std::uint64_t> log;  ///< labels in fire order
+  bool compacted_in_step = false;
+
+  void start() {
+    for (int i = 0; i < 300; ++i) {
+      add_plain(uniform_ns(rng_, 1000000, 900000000));
+    }
+    for (int i = 0; i < 8; ++i) start_wave();
+  }
+
+ private:
+  struct Step {
+    Time t;
+    std::uint64_t seq;
+    std::uint64_t label;
+  };
+  struct Wave {
+    Time airtime;
+    std::vector<Step> arrivals;
+    std::vector<Step> ends;
+    std::size_t next_arrival = 0;
+    std::size_t next_end = 0;
+  };
+
+  static bool before(const Step& a, const Step& b) {
+    return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+  }
+
+  void start_wave() {
+    const std::uint64_t id = next_wave_++;
+    const std::size_t k = rng_() % 6;  // zero arrivals: nothing at all
+    const Time airtime = Time::ns(uniform_ns(rng_, 0, 3000));
+    std::vector<Time> at;
+    for (std::size_t j = 0; j < k; ++j) {
+      at.push_back(s.now() + Time::ns(uniform_ns(rng_, 0, 2000)));
+    }
+    if (k == 0) return;
+    if (!use_waves_) {
+      for (std::size_t j = 0; j < k; ++j) {
+        s.schedule_at(
+            at[j],
+            [this, id, j, airtime] {
+              if (arrival(label_of(id, j))) {
+                s.schedule_in(airtime,
+                              [this, id, j] { end(label_of(id, j) + 1); },
+                              EventCategory::kPhy);
+              }
+              act();
+            },
+            EventCategory::kChannel);
+      }
+      return;
+    }
+    Wave& w = waves_.emplace_back();
+    w.airtime = airtime;
+    std::uint64_t seq = s.reserve_seqs(k);
+    for (std::size_t j = 0; j < k; ++j) {
+      w.arrivals.push_back(Step{at[j], seq++, label_of(id, j)});
+    }
+    std::sort(w.arrivals.begin(), w.arrivals.end(), before);
+    s.schedule_wave(w.arrivals[0].t, w.arrivals[0].seq,
+                    [this, &w] { step(w); }, EventCategory::kChannel);
+  }
+
+  void step(Wave& w) {
+    in_step_ = true;
+    const bool end_next =
+        w.next_end < w.ends.size() &&
+        (w.next_arrival == w.arrivals.size() ||
+         before(w.ends[w.next_end], w.arrivals[w.next_arrival]));
+    if (end_next) {
+      end(w.ends[w.next_end++].label);
+    } else {
+      const Step a = w.arrivals[w.next_arrival++];
+      if (arrival(a.label)) {
+        w.ends.push_back(Step{s.now() + w.airtime, s.reserve_seqs(1),
+                              a.label + 1});
+      }
+      act();
+    }
+    in_step_ = false;
+    const bool arrivals_left = w.next_arrival < w.arrivals.size();
+    const bool ends_left = w.next_end < w.ends.size();
+    if (ends_left && (!arrivals_left || before(w.ends[w.next_end],
+                                               w.arrivals[w.next_arrival]))) {
+      const Step& e = w.ends[w.next_end];
+      s.continue_wave(e.t, e.seq, EventCategory::kPhy);
+    } else if (arrivals_left) {
+      const Step& a = w.arrivals[w.next_arrival];
+      s.continue_wave(a.t, a.seq, EventCategory::kChannel);
+    }
+  }
+
+  static std::uint64_t label_of(std::uint64_t wave, std::size_t j) {
+    return (wave << 16) | (j << 1) | (1ull << 62);
+  }
+
+  /// Returns whether the arrival books an end (a deaf receiver does not).
+  bool arrival(std::uint64_t label) {
+    log.push_back(label);
+    return rng_() % 4 != 0;
+  }
+
+  void end(std::uint64_t label) {
+    log.push_back(label);
+    act();
+  }
+
+  void add_plain(std::int64_t delay_ns) {
+    const std::uint64_t l = next_plain_++;
+    const EventId id = s.schedule_in(
+        Time::ns(delay_ns),
+        [this, l] {
+          log.push_back(l);
+          forget(l);
+          act();
+        },
+        EventCategory::kMac);
+    plain_.push_back(l);
+    ids_[l] = id;
+  }
+
+  void forget(std::uint64_t l) {
+    plain_.erase(std::find(plain_.begin(), plain_.end(), l));
+    ids_.erase(l);
+  }
+
+  /// A step's or event's side effects, drawn from the shared stream.
+  void act() {
+    if (budget_ == 0) return;
+    --budget_;
+    const auto op = rng_() % 100;
+    if (op < 40) {
+      add_plain(uniform_ns(rng_, 0, 4000));
+    } else if (op < 55 && !plain_.empty()) {
+      const std::uint64_t l = plain_[rng_() % plain_.size()];
+      EXPECT_TRUE(s.cancel(ids_[l]));
+      forget(l);
+    } else if (op < 65 && !plain_.empty()) {
+      const std::uint64_t l = plain_[rng_() % plain_.size()];
+      EXPECT_TRUE(s.reschedule(ids_[l], s.now() + Time::ns(uniform_ns(
+                                                      rng_, 0, 300000))));
+    } else if (op < 85) {
+      start_wave();
+    } else if (op < 87) {
+      // Cancel all but a quarter of the plain events, then refill the
+      // far future: the tombstones outnumber the live entries.
+      const std::size_t before_entries = s.queued_entries();
+      const std::size_t keep = plain_.size() / 4;
+      while (plain_.size() > keep) {
+        const std::uint64_t l = plain_[rng_() % plain_.size()];
+        EXPECT_TRUE(s.cancel(ids_[l]));
+        forget(l);
+      }
+      if (in_step_ && s.queued_entries() < before_entries) {
+        compacted_in_step = true;
+      }
+      for (int i = 0; i < 200; ++i) {
+        add_plain(uniform_ns(rng_, 1000000, 900000000));
+      }
+    }
+  }
+
+  bool use_waves_;
+  std::mt19937_64 rng_;
+  std::deque<Wave> waves_;  ///< address-stable: steps start new waves
+  std::vector<std::uint64_t> plain_;  ///< pending plain labels
+  std::map<std::uint64_t, EventId> ids_;
+  std::uint64_t next_plain_ = 0;
+  std::uint64_t next_wave_ = 0;
+  int budget_ = 6000;
+  bool in_step_ = false;
+};
+
+TEST(SchedulerTest, WavesFireLikeIndividuallyScheduledEvents) {
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    SCOPED_TRACE(seed);
+    WaveProgram waves(true, seed);
+    WaveProgram events(false, seed);
+    waves.start();
+    events.start();
+    std::mt19937_64 chunks(seed * 7919);
+    while (waves.s.pending_count() > 0 || events.s.pending_count() > 0) {
+      const std::size_t n = 1 + chunks() % 64;
+      ASSERT_EQ(waves.s.run_steps(n), events.s.run_steps(n));
+      ASSERT_EQ(waves.log.size(), events.log.size());
+      ASSERT_EQ(waves.s.now(), events.s.now());
+      ASSERT_EQ(waves.s.next_event_time(), events.s.next_event_time());
+      for (std::size_t c = 0; c < kEventCategoryCount; ++c) {
+        const auto cat = static_cast<EventCategory>(c);
+        ASSERT_EQ(waves.s.executed_count(cat), events.s.executed_count(cat));
+      }
+      ASSERT_EQ(waves.s.pending_count() == 0, events.s.pending_count() == 0);
+    }
+    EXPECT_EQ(waves.log, events.log);
+    EXPECT_GT(waves.s.executed_count(EventCategory::kPhy), 1000u);
+    EXPECT_TRUE(waves.compacted_in_step);
+    EXPECT_EQ(waves.s.queued_entries(), 0u);
+  }
 }
 
 }  // namespace
