@@ -31,7 +31,7 @@ int main() {
     cfg.base.mts.max_paths = cap;
     const harness::CampaignResult r = harness::CampaignCache::run(cfg, &std::cerr);
     auto mean = [&](const std::function<double(const RunMetrics&)>& f) {
-      return r.summarize(harness::Protocol::kMts, 10, f).mean();
+      return harness::summarize(r.runs(harness::Protocol::kMts, 10), f).mean();
     };
     table.add_row(
         {std::to_string(cap),

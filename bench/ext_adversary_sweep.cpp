@@ -326,7 +326,8 @@ int main(int argc, char** argv) {
         double sum = 0.0;
         std::size_t n = 0;
         for (double speed : cfg.speeds) {
-          const auto s = result.summarize(p, speed, a, d, metric);
+          const auto s =
+              harness::summarize(result.runs(p, speed, a, d), metric);
           sum += s.mean() * static_cast<double>(s.count());
           n += s.count();
         }
@@ -390,7 +391,8 @@ int main(int argc, char** argv) {
           double sum = 0.0;
           std::size_t n = 0;
           for (double speed : cfg.speeds) {
-            const auto s = result.summarize(p, speed, a, 0, 1, metric);
+            const auto s =
+                harness::summarize(result.runs(p, speed, a, 0, 1), metric);
             sum += s.mean() * static_cast<double>(s.count());
             n += s.count();
           }

@@ -77,60 +77,52 @@ const std::vector<RunMetrics>& CampaignResult::runs(
   return it == cells_.end() ? kEmpty : it->second;
 }
 
-stats::Summary CampaignResult::summarize(
-    Protocol p, double speed, std::uint32_t adversary, std::uint32_t defense,
-    std::uint32_t traffic,
-    const std::function<double(const RunMetrics&)>& metric) const {
+stats::Summary summarize(
+    const std::vector<RunMetrics>& runs,
+    const std::function<double(const RunMetrics&)>& metric) {
   // Honest accounting: `failed` placeholder rows from the fabric carry
   // zeros for every metric — averaging them in would silently bias
   // false_positive_rate, paired-seed deltas and every figure toward 0.
   // Only ok rows contribute; a fully failed cell reports count() == 0.
   stats::Summary s;
-  for (const RunMetrics& m : runs(p, speed, adversary, defense, traffic)) {
+  for (const RunMetrics& m : runs) {
     if (m.run_status != RunStatus::kOk) continue;
     s.add(metric(m));
   }
   return s;
 }
 
+ScenarioConfig cell_scenario(const CampaignConfig& cfg, const WorkCell& cell,
+                             std::uint32_t rep) {
+  sim::require_config(cell.protocol < cfg.protocols.size() &&
+                          cell.speed < cfg.speeds.size() &&
+                          cell.adversary < cfg.adversaries.size() &&
+                          cell.defense < cfg.defenses.size() &&
+                          cell.traffic < cfg.traffics.size(),
+                      "Campaign: work cell indexes outside the grid "
+                      "(stale unit spec for a different config?)");
+  ScenarioConfig sc = cfg.base;
+  sc.protocol = cfg.protocols[cell.protocol];
+  sc.max_speed = cfg.speeds[cell.speed];
+  // Same seed across protocols, adversaries, defenses and traffic specs
+  // for a given (speed, rep): paired comparisons see identical mobility
+  // and flow placement (passive adversaries don't perturb runs at all,
+  // so their cells differ only in what was observed).
+  sc.seed = cfg.seed_base + rep;
+  sc.adversary = cfg.adversaries[cell.adversary];
+  sc.defense = cfg.defenses[cell.defense];
+  sc.traffic = cfg.traffics[cell.traffic];
+  return sc;
+}
+
 CampaignResult run_campaign(const CampaignConfig& cfg,
                             std::ostream* progress) {
-  struct Cell {
-    Protocol protocol;
-    double speed;
-    std::uint32_t adversary;
-    std::uint32_t defense;
-    std::uint32_t traffic;
-    std::uint64_t seed;
-  };
-  sim::require_config(!cfg.adversaries.empty(),
-                      "Campaign: adversaries list empty (use a kNone spec)");
-  sim::require_config(!cfg.defenses.empty(),
-                      "Campaign: defenses list empty (use a kNone spec)");
-  sim::require_config(!cfg.traffics.empty(),
-                      "Campaign: traffics list empty (use a disabled spec)");
-  std::vector<Cell> work;
-  for (Protocol p : cfg.protocols) {
-    for (double speed : cfg.speeds) {
-      for (std::uint32_t a = 0;
-           a < static_cast<std::uint32_t>(cfg.adversaries.size()); ++a) {
-        for (std::uint32_t d = 0;
-             d < static_cast<std::uint32_t>(cfg.defenses.size()); ++d) {
-          for (std::uint32_t t = 0;
-               t < static_cast<std::uint32_t>(cfg.traffics.size()); ++t) {
-            for (std::uint32_t r = 0; r < cfg.repetitions; ++r) {
-              // Same seed across protocols, adversaries, defenses and
-              // traffic specs for a given (speed, rep): paired
-              // comparisons see identical mobility and flow placement
-              // (passive adversaries don't perturb runs at all, so
-              // their cells differ only in what was observed).
-              work.push_back(Cell{p, speed, a, d, t, cfg.seed_base + r});
-            }
-          }
-        }
-      }
+  std::vector<std::pair<WorkCell, std::uint32_t>> work;  // (cell, rep)
+  for_each_cell(cfg, [&](const WorkCell& cell) {
+    for (std::uint32_t r = cell.rep_begin; r < cell.rep_end; ++r) {
+      work.emplace_back(cell, r);
     }
-  }
+  });
   std::vector<RunMetrics> results(work.size());
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
@@ -144,28 +136,23 @@ CampaignResult run_campaign(const CampaignConfig& cfg,
     for (;;) {
       const std::size_t i = next.fetch_add(1);
       if (i >= work.size()) return;
-      ScenarioConfig sc = cfg.base;
-      sc.protocol = work[i].protocol;
-      sc.max_speed = work[i].speed;
-      sc.seed = work[i].seed;
-      sc.adversary = cfg.adversaries[work[i].adversary];
-      sc.defense = cfg.defenses[work[i].defense];
-      sc.traffic = cfg.traffics[work[i].traffic];
+      const auto& [cell, rep] = work[i];
+      const ScenarioConfig sc = cell_scenario(cfg, cell, rep);
       results[i] = run_scenario(sc);
-      results[i].adversary_index = work[i].adversary;
-      results[i].defense_index = work[i].defense;
-      results[i].traffic_index = work[i].traffic;
+      results[i].adversary_index = cell.adversary;
+      results[i].defense_index = cell.defense;
+      results[i].traffic_index = cell.traffic;
       const std::size_t d = done.fetch_add(1) + 1;
       if (sink.enabled()) {
         std::ostringstream os;
         os << "  [" << d << "/" << work.size() << "] "
-           << protocol_name(work[i].protocol) << " speed=" << work[i].speed
-           << " adversary=" << adversary_label(cfg.adversaries[work[i].adversary])
-           << " defense=" << defense_label(cfg.defenses[work[i].defense]);
+           << protocol_name(sc.protocol) << " speed=" << sc.max_speed
+           << " adversary=" << adversary_label(sc.adversary)
+           << " defense=" << defense_label(sc.defense);
         if (cfg.traffics.size() > 1) {
-          os << " traffic=" << traffic_label(cfg.traffics[work[i].traffic]);
+          os << " traffic=" << traffic_label(sc.traffic);
         }
-        os << " seed=" << work[i].seed;
+        os << " seed=" << sc.seed;
         sink.line(os.str());
       }
     }
@@ -180,49 +167,33 @@ CampaignResult run_campaign(const CampaignConfig& cfg,
   return out;
 }
 
-void print_figure(std::ostream& os, const CampaignResult& result,
+namespace {
+
+/// The figure printers' shared body: title and unit, then one table per
+/// adversary (adversary 0 only unless `per_adversary`).
+void print_tables(std::ostream& os, const CampaignResult& result,
                   const CampaignConfig& cfg, const std::string& title,
                   const std::string& unit,
                   const std::function<double(const RunMetrics&)>& metric,
-                  int precision) {
-  os << "\n=== " << title << " ===\n";
-  if (!unit.empty()) os << "(" << unit << "; mean +/- 95% CI over "
-                        << cfg.repetitions << " runs)\n";
-  std::vector<std::string> header{"MAXSPEED (m/s)"};
-  for (Protocol p : cfg.protocols) header.emplace_back(protocol_name(p));
-  stats::Table table(std::move(header));
-  for (double speed : cfg.speeds) {
-    std::vector<std::string> row{stats::Table::fmt(speed, 0)};
-    for (Protocol p : cfg.protocols) {
-      const stats::Summary s = result.summarize(p, speed, metric);
-      row.push_back(stats::Table::fmt(s.mean(), precision) + " +/- " +
-                    stats::Table::fmt(s.ci95(), precision));
-    }
-    table.add_row(std::move(row));
-  }
-  table.print(os);
-}
-
-void print_adversary_figure(
-    std::ostream& os, const CampaignResult& result, const CampaignConfig& cfg,
-    const std::string& title, const std::string& unit,
-    const std::function<double(const RunMetrics&)>& metric, int precision) {
+                  int precision, bool per_adversary) {
   os << "\n=== " << title << " ===\n";
   if (!unit.empty()) {
     os << "(" << unit << "; mean +/- 95% CI over " << cfg.repetitions
        << " runs)\n";
   }
-  for (std::uint32_t a = 0;
-       a < static_cast<std::uint32_t>(cfg.adversaries.size()); ++a) {
-    os << "\n--- adversary: " << adversary_label(cfg.adversaries[a])
-       << " ---\n";
+  const std::size_t tables = per_adversary ? cfg.adversaries.size() : 1;
+  for (std::uint32_t a = 0; a < tables; ++a) {
+    if (per_adversary) {
+      os << "\n--- adversary: " << adversary_label(cfg.adversaries[a])
+         << " ---\n";
+    }
     std::vector<std::string> header{"MAXSPEED (m/s)"};
     for (Protocol p : cfg.protocols) header.emplace_back(protocol_name(p));
     stats::Table table(std::move(header));
     for (double speed : cfg.speeds) {
       std::vector<std::string> row{stats::Table::fmt(speed, 0)};
       for (Protocol p : cfg.protocols) {
-        const stats::Summary s = result.summarize(p, speed, a, metric);
+        const stats::Summary s = summarize(result.runs(p, speed, a), metric);
         row.push_back(stats::Table::fmt(s.mean(), precision) + " +/- " +
                       stats::Table::fmt(s.ci95(), precision));
       }
@@ -230,6 +201,23 @@ void print_adversary_figure(
     }
     table.print(os);
   }
+}
+
+}  // namespace
+
+void print_figure(std::ostream& os, const CampaignResult& result,
+                  const CampaignConfig& cfg, const std::string& title,
+                  const std::string& unit,
+                  const std::function<double(const RunMetrics&)>& metric,
+                  int precision) {
+  print_tables(os, result, cfg, title, unit, metric, precision, false);
+}
+
+void print_adversary_figure(
+    std::ostream& os, const CampaignResult& result, const CampaignConfig& cfg,
+    const std::string& title, const std::string& unit,
+    const std::function<double(const RunMetrics&)>& metric, int precision) {
+  print_tables(os, result, cfg, title, unit, metric, precision, true);
 }
 
 namespace {

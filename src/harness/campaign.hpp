@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "harness/scenario.hpp"
+#include "sim/error.hpp"
 #include "stats/summary.hpp"
 
 namespace mts::harness {
@@ -42,50 +43,60 @@ std::string defense_label(const security::DefenseSpec& spec);
 /// Short human label for a traffic spec ("off", "20/s x4gw", ...).
 std::string traffic_label(const traffic::TrafficSpec& spec);
 
-/// All runs, indexable by (protocol, speed[, adversary[, defense]]).
+/// One grid cell of a campaign plus the seed range to run in it.
+/// Indices point into the owning `CampaignConfig`'s lists, so a cell is
+/// meaningful only next to the config that produced it.
+struct WorkCell {
+  std::uint32_t protocol = 0;   ///< index into cfg.protocols
+  std::uint32_t speed = 0;      ///< index into cfg.speeds
+  std::uint32_t adversary = 0;  ///< index into cfg.adversaries
+  std::uint32_t defense = 0;    ///< index into cfg.defenses
+  std::uint32_t traffic = 0;    ///< index into cfg.traffics
+  std::uint32_t rep_begin = 0;  ///< first repetition (seed = seed_base + rep)
+  std::uint32_t rep_end = 0;    ///< one past the last repetition
+
+  [[nodiscard]] std::uint32_t runs() const { return rep_end - rep_begin; }
+  bool operator==(const WorkCell&) const = default;
+};
+
+/// The one walk over the campaign grid: `fn(cell)` for every cell in
+/// row-major order (protocol, speed, adversary, defense, traffic), each
+/// spanning all repetitions.  Throws ConfigError on an empty spec axis.
+template <class Fn>
+void for_each_cell(const CampaignConfig& cfg, Fn&& fn) {
+  sim::require_config(!cfg.adversaries.empty() && !cfg.defenses.empty() &&
+                          !cfg.traffics.empty(),
+                      "Campaign: empty spec axis (use a kNone/disabled spec)");
+  for (std::uint32_t p = 0; p < cfg.protocols.size(); ++p) {
+    for (std::uint32_t s = 0; s < cfg.speeds.size(); ++s) {
+      for (std::uint32_t a = 0; a < cfg.adversaries.size(); ++a) {
+        for (std::uint32_t d = 0; d < cfg.defenses.size(); ++d) {
+          for (std::uint32_t t = 0; t < cfg.traffics.size(); ++t) {
+            fn(WorkCell{p, s, a, d, t, 0, cfg.repetitions});
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The ScenarioConfig for one run of a cell: cfg.base with the cell's
+/// protocol/speed/adversary/defense/traffic applied and
+/// seed = seed_base + rep.  Throws ConfigError for a cell outside the
+/// grid.
+ScenarioConfig cell_scenario(const CampaignConfig& cfg, const WorkCell& cell,
+                             std::uint32_t rep);
+
+/// All runs, indexable by (protocol, speed, adversary, defense, traffic).
 class CampaignResult {
  public:
   void add(RunMetrics m);
 
-  /// Runs of the adversary-free, undefended paper grid (indices 0, 0).
-  [[nodiscard]] const std::vector<RunMetrics>& runs(Protocol p,
-                                                    double speed) const {
-    return runs(p, speed, 0, 0);
-  }
+  /// Runs of one cell; the trailing indices default to the
+  /// adversary-free, undefended, traffic-off paper grid.
   [[nodiscard]] const std::vector<RunMetrics>& runs(
-      Protocol p, double speed, std::uint32_t adversary) const {
-    return runs(p, speed, adversary, 0);
-  }
-  [[nodiscard]] const std::vector<RunMetrics>& runs(
-      Protocol p, double speed, std::uint32_t adversary,
-      std::uint32_t defense) const {
-    return runs(p, speed, adversary, defense, 0);
-  }
-  [[nodiscard]] const std::vector<RunMetrics>& runs(
-      Protocol p, double speed, std::uint32_t adversary,
-      std::uint32_t defense, std::uint32_t traffic) const;
-
-  /// Aggregates one metric across the repetitions of a cell.
-  [[nodiscard]] stats::Summary summarize(
-      Protocol p, double speed,
-      const std::function<double(const RunMetrics&)>& metric) const {
-    return summarize(p, speed, 0, 0, metric);
-  }
-  [[nodiscard]] stats::Summary summarize(
-      Protocol p, double speed, std::uint32_t adversary,
-      const std::function<double(const RunMetrics&)>& metric) const {
-    return summarize(p, speed, adversary, 0, metric);
-  }
-  [[nodiscard]] stats::Summary summarize(
-      Protocol p, double speed, std::uint32_t adversary,
-      std::uint32_t defense,
-      const std::function<double(const RunMetrics&)>& metric) const {
-    return summarize(p, speed, adversary, defense, 0, metric);
-  }
-  [[nodiscard]] stats::Summary summarize(
-      Protocol p, double speed, std::uint32_t adversary,
-      std::uint32_t defense, std::uint32_t traffic,
-      const std::function<double(const RunMetrics&)>& metric) const;
+      Protocol p, double speed, std::uint32_t adversary = 0,
+      std::uint32_t defense = 0, std::uint32_t traffic = 0) const;
 
   [[nodiscard]] std::size_t total_runs() const { return count_; }
 
@@ -99,6 +110,12 @@ class CampaignResult {
       cells_;
   std::size_t count_ = 0;
 };
+
+/// Aggregates one metric across the `ok` runs of a cell (typically
+/// `result.runs(...)`); failed placeholder rows are skipped.
+stats::Summary summarize(
+    const std::vector<RunMetrics>& runs,
+    const std::function<double(const RunMetrics&)>& metric);
 
 /// Runs the sweep.  Repetitions are embarrassingly parallel: each run
 /// owns an isolated simulator, so the pool shares nothing but the work

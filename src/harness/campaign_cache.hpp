@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "harness/campaign.hpp"
 
@@ -12,9 +13,9 @@ namespace mts::harness {
 ///
 /// Every per-figure bench projects the *same* protocol x speed x seed
 /// grid onto a different metric; rerunning the grid eight times would
-/// multiply the bench wall time for nothing.  The cache keys on every
-/// input that affects results (grid, repetitions, sim time, node count,
-/// seeds, and the scenario knobs the ablations vary) and stores the
+/// multiply the bench wall time for nothing.  The cache keys on the
+/// whole `CampaignConfig` — every field is keyed unless
+/// `campaign_cache.cpp` excludes it with a reason — and stores the
 /// scalar metrics of each run as CSV.
 ///
 /// Location: $MTS_BENCH_CACHE_DIR, defaulting to ".mts_bench_cache" in
@@ -24,6 +25,12 @@ class CampaignCache {
  public:
   /// Stable content key for a campaign configuration.
   static std::string key_of(const CampaignConfig& cfg);
+
+  /// Makes the key's coverage checkable: one copy of `cfg` per keyed
+  /// leaf or keyed list, in the key's visit order, each differing from
+  /// `cfg` in that leaf alone (next double, +1, negated bool, +1 ns) or
+  /// in that list alone (grown by a default element).
+  static std::vector<CampaignConfig> perturbations(const CampaignConfig& cfg);
 
   /// The cache root ($MTS_BENCH_CACHE_DIR or ".mts_bench_cache"); the
   /// fabric keeps its per-campaign shard directories underneath it.

@@ -1,19 +1,157 @@
 #include "harness/campaign_csv.hpp"
 
+#include <fstream>
 #include <limits>
 #include <sstream>
-#include <vector>
+#include <stdexcept>
+#include <type_traits>
 
 namespace mts::harness::csv {
 
-std::optional<std::size_t> header_cells(const std::string& header) {
-  if (header == kHeader) return kCellsV10;
-  if (header == kHeaderV9) return kCellsV9;
-  if (header == kHeaderV8) return kCellsV8;
-  if (header == kHeaderV7) return kCellsV7;
-  if (header == kHeaderV6) return kCellsV6;
-  if (header == kHeaderV5) return kCellsV5;
-  return std::nullopt;
+namespace {
+
+/// The column list: every CSV column in file order, with the
+/// `RunMetrics` member it holds.  `M` is `RunMetrics` (parsing) or
+/// `const RunMetrics` (writing, naming).  Adding a column here is the
+/// whole change — the header, writer and parser follow — plus a
+/// `kVersion` bump and a row in docs/metrics.md.
+template <class M, class F>
+void columns(M& m, F&& f) {
+  auto& msg = m.traffic_classes[0];
+  auto& bulk = m.traffic_classes[1];
+  f("protocol", m.protocol);
+  f("speed", m.max_speed);
+  f("seed", m.seed);
+  f("participating", m.participating_nodes);
+  f("relay_stddev", m.relay_stddev);
+  f("alpha", m.alpha);
+  f("max_beta", m.max_beta);
+  f("highest_ri", m.highest_interception_ratio);
+  f("pe", m.pe);
+  f("pr", m.pr);
+  f("ri", m.interception_ratio);
+  f("delay_s", m.avg_delay_s);
+  f("thr_seg_s", m.throughput_seg_s);
+  f("thr_kbps", m.throughput_kbps);
+  f("delivery", m.delivery_rate);
+  f("delivered", m.segments_delivered);
+  f("data_sent", m.data_packets_sent);
+  f("retx", m.retransmits);
+  f("timeouts", m.timeouts);
+  f("acks_sent", m.acks_sent);
+  f("acks_recv", m.acks_received);
+  f("eavesdropper", m.eavesdropper);
+  f("ctrl", m.control_packets);
+  f("switches", m.route_switches);
+  f("checks", m.checks_sent);
+  f("events", m.events_executed);
+  f("adv_index", m.adversary_index);
+  f("adv_kind", m.adversary_kind);
+  f("adv_count", m.adversary_count);
+  f("adv_captured", m.coalition_captured);
+  f("adv_ri", m.coalition_interception_ratio);
+  f("adv_missing", m.fragments_missing);
+  f("adv_absorbed", m.blackhole_absorbed);
+  f("adv_tunneled", m.wormhole_tunneled);
+  f("adv_gray_absorbed", m.grayhole_absorbed);
+  f("adv_endpoint_acc", m.endpoint_inference_accuracy);
+  f("adv_flood_injected", m.flood_injected);
+  f("def_index", m.defense_index);
+  f("def_kind", m.defense_kind);
+  f("def_detect_s", m.detection_time_s);
+  f("def_quarantined", m.paths_quarantined);
+  f("def_recovery_s", m.recovery_time_s);
+  f("def_fpr", m.false_positive_rate);
+  f("def_suppressed", m.flood_suppressed);
+  f("def_probes", m.probes_sent);
+  f("sec_shares", m.secrecy_shares);
+  f("sec_threshold", m.secrecy_threshold);
+  f("sec_captured", m.shares_captured);
+  f("sec_keys", m.keys_recovered);
+  f("sec_recovery", m.key_recovery_rate);
+  f("tra_index", m.traffic_index);
+  f("tra_sessions", m.sessions_started);
+  f("tra_completed", m.sessions_completed);
+  f("tra_msg_flows", msg.flows_completed);
+  f("tra_msg_p50_ms", msg.delay_p50_ms);
+  f("tra_msg_p95_ms", msg.delay_p95_ms);
+  f("tra_msg_p99_ms", msg.delay_p99_ms);
+  f("tra_msg_goodput", msg.goodput_p50_seg_s);
+  f("tra_msg_exposure", msg.key_exposure);
+  f("tra_bulk_flows", bulk.flows_completed);
+  f("tra_bulk_p50_ms", bulk.delay_p50_ms);
+  f("tra_bulk_p95_ms", bulk.delay_p95_ms);
+  f("tra_bulk_p99_ms", bulk.delay_p99_ms);
+  f("tra_bulk_goodput", bulk.goodput_p50_seg_s);
+  f("tra_bulk_exposure", bulk.key_exposure);
+  f("run_status", m.run_status);
+  f("run_attempts", m.attempts);
+  f("run_error", m.run_error);
+  // Last, and never empty ('-' = none), so getline-based parsing never
+  // eats a trailing empty cell.
+  f("adv_members", m.adversary_members);
+}
+
+// Cell codecs, one pair per member type.  Parsers throw on a malformed
+// cell; `parse_row` turns that into nullopt.
+
+template <class T>
+void put(std::ostream& os, const T& v) {
+  if constexpr (std::is_enum_v<T>) {
+    os << static_cast<int>(v);
+  } else {
+    os << v;
+  }
+}
+
+void put(std::ostream& os, RunStatus s) { os << run_status_name(s); }
+
+void put(std::ostream& os, const std::string& e) { os << sanitize_error(e); }
+
+void put(std::ostream& os, const std::vector<net::NodeId>& ids) {
+  if (ids.empty()) os << '-';
+  for (net::NodeId id : ids) os << id << '.';
+}
+
+void get(const std::string& cell, double& v) { v = std::stod(cell); }
+
+// Integers and enums: the value must survive the narrowing.
+template <class T>
+void get(const std::string& cell, T& v) {
+  const unsigned long long n = std::stoull(cell);
+  v = static_cast<T>(n);
+  if (static_cast<unsigned long long>(v) != n) throw std::out_of_range(cell);
+}
+
+void get(const std::string& cell, RunStatus& s) {
+  if (cell != "ok" && cell != "failed") throw std::invalid_argument(cell);
+  s = cell == "ok" ? RunStatus::kOk : RunStatus::kFailed;
+}
+
+void get(const std::string& cell, std::string& e) { if (cell != "-") e = cell; }
+
+void get(const std::string& cell, std::vector<net::NodeId>& ids) {
+  if (cell == "-") return;
+  std::stringstream ss(cell);
+  std::string id;
+  while (std::getline(ss, id, '.')) {
+    if (!id.empty()) get(id, ids.emplace_back());
+  }
+}
+
+}  // namespace
+
+const std::string& header() {
+  static const std::string kHeader = [] {
+    std::string out;
+    const RunMetrics m;
+    columns(m, [&](const char* name, const auto&) {
+      if (!out.empty()) out += ',';
+      out += name;
+    });
+    return out;
+  }();
+  return kHeader;
 }
 
 std::string sanitize_error(const std::string& msg) {
@@ -29,44 +167,12 @@ void write_row(std::ostream& os, const RunMetrics& m) {
   // Round-trip exactly: the cache's contract is bit-for-bit replay, and
   // the default 6 significant digits would truncate every double.
   os.precision(std::numeric_limits<double>::max_digits10);
-  os << static_cast<int>(m.protocol) << ',' << m.max_speed << ',' << m.seed
-     << ',' << m.participating_nodes << ',' << m.relay_stddev << ','
-     << m.alpha << ',' << m.max_beta << ',' << m.highest_interception_ratio
-     << ',' << m.pe << ',' << m.pr << ',' << m.interception_ratio << ','
-     << m.avg_delay_s << ',' << m.throughput_seg_s << ','
-     << m.throughput_kbps << ',' << m.delivery_rate << ','
-     << m.segments_delivered << ',' << m.data_packets_sent << ','
-     << m.retransmits << ',' << m.timeouts << ',' << m.acks_sent << ','
-     << m.acks_received << ',' << m.eavesdropper << ',' << m.control_packets
-     << ',' << m.route_switches << ',' << m.checks_sent << ','
-     << m.events_executed << ',' << m.adversary_index << ','
-     << static_cast<int>(m.adversary_kind) << ',' << m.adversary_count << ','
-     << m.coalition_captured << ',' << m.coalition_interception_ratio << ','
-     << m.fragments_missing << ',' << m.blackhole_absorbed << ','
-     << m.wormhole_tunneled << ',' << m.grayhole_absorbed << ','
-     << m.endpoint_inference_accuracy << ',' << m.flood_injected << ','
-     << m.defense_index << ',' << static_cast<int>(m.defense_kind) << ','
-     << m.detection_time_s << ',' << m.paths_quarantined << ','
-     << m.recovery_time_s << ',' << m.false_positive_rate << ','
-     << m.flood_suppressed << ',' << m.probes_sent << ','
-     << m.secrecy_shares << ',' << m.secrecy_threshold << ','
-     << m.shares_captured << ',' << m.keys_recovered << ','
-     << m.key_recovery_rate << ',' << m.traffic_index << ','
-     << m.sessions_started << ',' << m.sessions_completed;
-  for (const auto& c : m.traffic_classes) {
-    os << ',' << c.flows_completed << ',' << c.delay_p50_ms << ','
-       << c.delay_p95_ms << ',' << c.delay_p99_ms << ','
-       << c.goodput_p50_seg_s << ',' << c.key_exposure;
-  }
-  os << ',' << run_status_name(m.run_status) << ',' << m.attempts << ','
-     << sanitize_error(m.run_error) << ',';
-  // '-' sentinel keeps the empty-members cell from being eaten by the
-  // trailing-delimiter behaviour of getline-based parsing.
-  if (m.adversary_members.empty()) {
-    os << '-';
-  } else {
-    for (net::NodeId id : m.adversary_members) os << id << '.';
-  }
+  const char* sep = "";
+  columns(m, [&](const char*, const auto& v) {
+    os << sep;
+    put(os, v);
+    sep = ",";
+  });
   os << '\n';
 }
 
@@ -80,101 +186,8 @@ std::optional<RunMetrics> parse_row(const std::string& line,
   try {
     RunMetrics m;
     std::size_t i = 0;
-    m.protocol = static_cast<Protocol>(std::stoi(cells[i++]));
-    m.max_speed = std::stod(cells[i++]);
-    m.seed = std::stoull(cells[i++]);
-    m.participating_nodes = std::stoull(cells[i++]);
-    m.relay_stddev = std::stod(cells[i++]);
-    m.alpha = std::stoull(cells[i++]);
-    m.max_beta = std::stoull(cells[i++]);
-    m.highest_interception_ratio = std::stod(cells[i++]);
-    m.pe = std::stoull(cells[i++]);
-    m.pr = std::stoull(cells[i++]);
-    m.interception_ratio = std::stod(cells[i++]);
-    m.avg_delay_s = std::stod(cells[i++]);
-    m.throughput_seg_s = std::stod(cells[i++]);
-    m.throughput_kbps = std::stod(cells[i++]);
-    m.delivery_rate = std::stod(cells[i++]);
-    m.segments_delivered = std::stoull(cells[i++]);
-    m.data_packets_sent = std::stoull(cells[i++]);
-    m.retransmits = std::stoull(cells[i++]);
-    m.timeouts = std::stoull(cells[i++]);
-    m.acks_sent = std::stoull(cells[i++]);
-    m.acks_received = std::stoull(cells[i++]);
-    m.eavesdropper = static_cast<net::NodeId>(std::stoul(cells[i++]));
-    m.control_packets = std::stoull(cells[i++]);
-    m.route_switches = std::stoull(cells[i++]);
-    m.checks_sent = std::stoull(cells[i++]);
-    m.events_executed = std::stoull(cells[i++]);
-    m.adversary_index = static_cast<std::uint32_t>(std::stoul(cells[i++]));
-    m.adversary_kind =
-        static_cast<security::AdversaryKind>(std::stoi(cells[i++]));
-    m.adversary_count = static_cast<std::uint32_t>(std::stoul(cells[i++]));
-    m.coalition_captured = std::stoull(cells[i++]);
-    m.coalition_interception_ratio = std::stod(cells[i++]);
-    m.fragments_missing = std::stoull(cells[i++]);
-    m.blackhole_absorbed = std::stoull(cells[i++]);
-    if (cells.size() >= kCellsV6) {
-      m.wormhole_tunneled = std::stoull(cells[i++]);
-      m.grayhole_absorbed = std::stoull(cells[i++]);
-      m.endpoint_inference_accuracy = std::stod(cells[i++]);
-      m.flood_injected = std::stoull(cells[i++]);
-    }  // v5 rows: active-attack metrics stay zero
-    if (cells.size() >= kCellsV7) {
-      m.defense_index = static_cast<std::uint32_t>(std::stoul(cells[i++]));
-      m.defense_kind =
-          static_cast<security::DefenseKind>(std::stoi(cells[i++]));
-      m.detection_time_s = std::stod(cells[i++]);
-      m.paths_quarantined = std::stoull(cells[i++]);
-      m.recovery_time_s = std::stod(cells[i++]);
-      m.false_positive_rate = std::stod(cells[i++]);
-      m.flood_suppressed = std::stoull(cells[i++]);
-      m.probes_sent = std::stoull(cells[i++]);
-    }  // v5/v6 rows: defense metrics stay zero
-    if (cells.size() >= kCellsV8) {
-      m.secrecy_shares = static_cast<std::uint32_t>(std::stoul(cells[i++]));
-      m.secrecy_threshold = static_cast<std::uint32_t>(std::stoul(cells[i++]));
-      m.shares_captured = std::stoull(cells[i++]);
-      m.keys_recovered = std::stoull(cells[i++]);
-      m.key_recovery_rate = std::stod(cells[i++]);
-    }  // v5/v6/v7 rows: the secrecy game did not exist — metrics stay zero
-    if (cells.size() >= kCellsV10) {
-      m.traffic_index = static_cast<std::uint32_t>(std::stoul(cells[i++]));
-      m.sessions_started = std::stoull(cells[i++]);
-      m.sessions_completed = std::stoull(cells[i++]);
-      for (auto& c : m.traffic_classes) {
-        c.flows_completed = std::stoull(cells[i++]);
-        c.delay_p50_ms = std::stod(cells[i++]);
-        c.delay_p95_ms = std::stod(cells[i++]);
-        c.delay_p99_ms = std::stod(cells[i++]);
-        c.goodput_p50_seg_s = std::stod(cells[i++]);
-        c.key_exposure = std::stod(cells[i++]);
-      }
-    }  // v5..v9 rows predate the user plane — per-class columns stay zero
-    if (cells.size() >= kCellsV9) {
-      const std::string& status = cells[i++];
-      if (status == "ok") {
-        m.run_status = RunStatus::kOk;
-      } else if (status == "failed") {
-        m.run_status = RunStatus::kFailed;
-      } else {
-        return std::nullopt;
-      }
-      m.attempts = static_cast<std::uint32_t>(std::stoul(cells[i++]));
-      if (cells[i] != "-") m.run_error = cells[i];
-      ++i;
-    }  // v5..v8 rows predate the fabric: status ok, attempts 1, no error
-    if (cells[i] != "-") {
-      std::stringstream ms(cells[i]);
-      std::string id;
-      while (std::getline(ms, id, '.')) {
-        if (!id.empty()) {
-          m.adversary_members.push_back(
-              static_cast<net::NodeId>(std::stoul(id)));
-        }
-      }
-    }
-    ++i;
+    columns(m, [&](const char*, auto& v) { get(cells.at(i++), v); });
+    if (i != cells.size()) return std::nullopt;
     return m;
   } catch (const std::exception&) {
     return std::nullopt;
@@ -183,23 +196,63 @@ std::optional<RunMetrics> parse_row(const std::string& line,
 
 void write_campaign(std::ostream& os, const CampaignConfig& cfg,
                     const CampaignResult& result) {
-  os << kHeader << '\n';
-  for (Protocol p : cfg.protocols) {
-    for (double s : cfg.speeds) {
-      for (std::uint32_t a = 0;
-           a < static_cast<std::uint32_t>(cfg.adversaries.size()); ++a) {
-        for (std::uint32_t d = 0;
-             d < static_cast<std::uint32_t>(cfg.defenses.size()); ++d) {
-          for (std::uint32_t t = 0;
-               t < static_cast<std::uint32_t>(cfg.traffics.size()); ++t) {
-            for (const RunMetrics& m : result.runs(p, s, a, d, t)) {
-              write_row(os, m);
-            }
-          }
-        }
-      }
+  os << header() << '\n';
+  for_each_cell(cfg, [&](const WorkCell& c) {
+    for (const RunMetrics& m :
+         result.runs(cfg.protocols[c.protocol], cfg.speeds[c.speed],
+                     c.adversary, c.defense, c.traffic)) {
+      write_row(os, m);
     }
+  });
+}
+
+std::optional<std::vector<RunMetrics>> read_file(
+    const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const std::string text = buf.str();
+  // A write interrupted mid-row (power loss on a filesystem that broke
+  // the rename guarantee, a hand-truncated export) loses the final
+  // newline, whatever cell count the remnant happens to split into.
+  if (text.empty() || text.back() != '\n') return std::nullopt;
+  std::istringstream lines(text);
+  std::string line;
+  if (!std::getline(lines, line) || line != header()) return std::nullopt;
+  std::vector<RunMetrics> rows;
+  while (std::getline(lines, line)) {
+    if (line.empty()) continue;
+    auto m = parse_row(line);
+    if (!m.has_value()) return std::nullopt;
+    rows.push_back(std::move(*m));
   }
+  return rows;
+}
+
+bool write_file(const std::filesystem::path& path,
+                const std::function<void(std::ostream&)>& write,
+                std::string* error) {
+  // A writer killed mid-write leaves at worst a stale .tmp (swept by
+  // the fabric supervisor), never a half-written file.
+  const std::string tmp = path.string() + ".tmp";
+  auto fail = [&](const std::string& why) {
+    if (error != nullptr) *error = why;
+    std::error_code ec;
+    std::filesystem::remove(tmp, ec);
+    return false;
+  };
+  {
+    std::ofstream out(tmp, std::ios::trunc);
+    if (!out) return fail("cannot open " + tmp);
+    write(out);
+    out.flush();
+    if (!out) return fail("write failed on " + tmp);
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) return fail("rename failed: " + ec.message());
+  return true;
 }
 
 }  // namespace mts::harness::csv

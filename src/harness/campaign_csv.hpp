@@ -1,118 +1,61 @@
 #pragma once
 
 #include <cstddef>
+#include <filesystem>
+#include <functional>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "harness/campaign.hpp"
 
 namespace mts::harness::csv {
 
-/// The campaign CSV column machinery, shared by the disk cache
-/// (`CampaignCache`), the fabric's per-unit shard files and the
-/// `--csv-out` export: one row per run, columns versioned v5..v10.
-///
-/// v10 (current) inserts the user-traffic block — `tra_index`, session
-/// counts and the per-class percentile/exposure columns — between the
-/// secrecy block and the v9 fabric columns
-/// (`run_status,run_attempts,run_error`); the members list stays last
-/// so getline-based parsing never eats a trailing empty cell.  Older
-/// headers/widths are still parsed with the later metrics zeroed — the
-/// compatibility story `docs/metrics.md` documents and
-/// `tests/integration/campaign_cache_test.cpp` pins.
+/// The campaign CSV, shared by the disk cache (`CampaignCache`), the
+/// fabric's per-unit shard files and the `--csv-out` export: one header
+/// line, then one row per run.  The column list in `campaign_csv.cpp`
+/// declares each column once (name and `RunMetrics` member) and drives
+/// the header, `write_row` and `parse_row` alike.  Only the current
+/// version is read: it is part of every cache key and shard directory,
+/// so a file of another version is never opened, and is rejected if it
+/// is.
 inline constexpr int kVersion = 10;
-
-inline constexpr const char* kHeader =
-    "protocol,speed,seed,participating,relay_stddev,alpha,max_beta,"
-    "highest_ri,pe,pr,ri,delay_s,thr_seg_s,thr_kbps,delivery,delivered,"
-    "data_sent,retx,timeouts,acks_sent,acks_recv,eavesdropper,ctrl,"
-    "switches,checks,events,adv_index,adv_kind,adv_count,adv_captured,"
-    "adv_ri,adv_missing,adv_absorbed,adv_tunneled,adv_gray_absorbed,"
-    "adv_endpoint_acc,adv_flood_injected,def_index,def_kind,def_detect_s,"
-    "def_quarantined,def_recovery_s,def_fpr,def_suppressed,def_probes,"
-    "sec_shares,sec_threshold,sec_captured,sec_keys,sec_recovery,"
-    "tra_index,tra_sessions,tra_completed,tra_msg_flows,tra_msg_p50_ms,"
-    "tra_msg_p95_ms,tra_msg_p99_ms,tra_msg_goodput,tra_msg_exposure,"
-    "tra_bulk_flows,tra_bulk_p50_ms,tra_bulk_p95_ms,tra_bulk_p99_ms,"
-    "tra_bulk_goodput,tra_bulk_exposure,"
-    "run_status,run_attempts,run_error,adv_members";
-
-inline constexpr const char* kHeaderV9 =
-    "protocol,speed,seed,participating,relay_stddev,alpha,max_beta,"
-    "highest_ri,pe,pr,ri,delay_s,thr_seg_s,thr_kbps,delivery,delivered,"
-    "data_sent,retx,timeouts,acks_sent,acks_recv,eavesdropper,ctrl,"
-    "switches,checks,events,adv_index,adv_kind,adv_count,adv_captured,"
-    "adv_ri,adv_missing,adv_absorbed,adv_tunneled,adv_gray_absorbed,"
-    "adv_endpoint_acc,adv_flood_injected,def_index,def_kind,def_detect_s,"
-    "def_quarantined,def_recovery_s,def_fpr,def_suppressed,def_probes,"
-    "sec_shares,sec_threshold,sec_captured,sec_keys,sec_recovery,"
-    "run_status,run_attempts,run_error,adv_members";
-
-inline constexpr const char* kHeaderV8 =
-    "protocol,speed,seed,participating,relay_stddev,alpha,max_beta,"
-    "highest_ri,pe,pr,ri,delay_s,thr_seg_s,thr_kbps,delivery,delivered,"
-    "data_sent,retx,timeouts,acks_sent,acks_recv,eavesdropper,ctrl,"
-    "switches,checks,events,adv_index,adv_kind,adv_count,adv_captured,"
-    "adv_ri,adv_missing,adv_absorbed,adv_tunneled,adv_gray_absorbed,"
-    "adv_endpoint_acc,adv_flood_injected,def_index,def_kind,def_detect_s,"
-    "def_quarantined,def_recovery_s,def_fpr,def_suppressed,def_probes,"
-    "sec_shares,sec_threshold,sec_captured,sec_keys,sec_recovery,"
-    "adv_members";
-
-inline constexpr const char* kHeaderV7 =
-    "protocol,speed,seed,participating,relay_stddev,alpha,max_beta,"
-    "highest_ri,pe,pr,ri,delay_s,thr_seg_s,thr_kbps,delivery,delivered,"
-    "data_sent,retx,timeouts,acks_sent,acks_recv,eavesdropper,ctrl,"
-    "switches,checks,events,adv_index,adv_kind,adv_count,adv_captured,"
-    "adv_ri,adv_missing,adv_absorbed,adv_tunneled,adv_gray_absorbed,"
-    "adv_endpoint_acc,adv_flood_injected,def_index,def_kind,def_detect_s,"
-    "def_quarantined,def_recovery_s,def_fpr,def_suppressed,def_probes,"
-    "adv_members";
-
-inline constexpr const char* kHeaderV6 =
-    "protocol,speed,seed,participating,relay_stddev,alpha,max_beta,"
-    "highest_ri,pe,pr,ri,delay_s,thr_seg_s,thr_kbps,delivery,delivered,"
-    "data_sent,retx,timeouts,acks_sent,acks_recv,eavesdropper,ctrl,"
-    "switches,checks,events,adv_index,adv_kind,adv_count,adv_captured,"
-    "adv_ri,adv_missing,adv_absorbed,adv_tunneled,adv_gray_absorbed,"
-    "adv_endpoint_acc,adv_flood_injected,adv_members";
-
-inline constexpr const char* kHeaderV5 =
-    "protocol,speed,seed,participating,relay_stddev,alpha,max_beta,"
-    "highest_ri,pe,pr,ri,delay_s,thr_seg_s,thr_kbps,delivery,delivered,"
-    "data_sent,retx,timeouts,acks_sent,acks_recv,eavesdropper,ctrl,"
-    "switches,checks,events,adv_index,adv_kind,adv_count,adv_captured,"
-    "adv_ri,adv_missing,adv_absorbed,adv_members";
-
 inline constexpr std::size_t kCellsV10 = 69;
-inline constexpr std::size_t kCellsV9 = 54;
-inline constexpr std::size_t kCellsV8 = 51;
-inline constexpr std::size_t kCellsV7 = 46;
-inline constexpr std::size_t kCellsV6 = 38;
-inline constexpr std::size_t kCellsV5 = 34;
 
-/// Cell count for a recognized header line; nullopt for anything else.
-std::optional<std::size_t> header_cells(const std::string& header);
+/// The header line (without its newline): the column names in order.
+const std::string& header();
 
-/// Writes one v10 row (doubles at max_digits10 so a round-trip is exact).
+/// Writes one row (doubles at max_digits10 so a round-trip is exact).
 void write_row(std::ostream& os, const RunMetrics& m);
 
-/// Parses one row of exactly `expected_cells` cells (one of the kCells*
-/// widths, normally from `header_cells`); metrics newer than the row's
-/// width default to zero.  nullopt on any malformed cell — callers
-/// treat that as corruption, never crash.
+/// Parses one row (without its newline) of exactly `expected_cells`
+/// cells — `kCellsV10`, the only width there is.  nullopt on any
+/// malformed cell — callers treat that as corruption, never crash.
 std::optional<RunMetrics> parse_row(const std::string& line,
-                                    std::size_t expected_cells);
+                                    std::size_t expected_cells = kCellsV10);
 
 /// Collapses an arbitrary error message into a single CSV cell: commas,
 /// newlines and CRs become spaces, empty becomes the '-' sentinel.
 std::string sanitize_error(const std::string& msg);
 
-/// Writes the whole campaign (v10 header + one row per run, grid order:
-/// protocol-major, then speed, adversary, defense, traffic, repetition)
-/// — the cache store format, doubling as the `--csv-out` user export.
+/// Writes the whole campaign (header + one row per run, in the grid
+/// order of `for_each_cell`, then repetition) — the cache store format,
+/// doubling as the `--csv-out` user export.
 void write_campaign(std::ostream& os, const CampaignConfig& cfg,
                     const CampaignResult& result);
+
+/// Reads a whole CSV file: it must end in a newline (which catches a
+/// truncation at any byte of the last row), start with `header()`, and
+/// every row must parse.  nullopt on a missing file or any violation.
+std::optional<std::vector<RunMetrics>> read_file(
+    const std::filesystem::path& path);
+
+/// Writes `path` (`write` emits the whole content) through a temp file
+/// and an atomic rename, so it exists complete or not at all.  False on
+/// any I/O failure, with `error` (if given) saying why.
+bool write_file(const std::filesystem::path& path,
+                const std::function<void(std::ostream&)>& write,
+                std::string* error = nullptr);
 
 }  // namespace mts::harness::csv

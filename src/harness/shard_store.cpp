@@ -1,6 +1,5 @@
 #include "harness/shard_store.hpp"
 
-#include <fstream>
 #include <sstream>
 
 #include "harness/campaign_cache.hpp"
@@ -34,74 +33,28 @@ bool ShardStore::prepare() {
 bool ShardStore::write(const WorkUnit& unit,
                        const std::vector<RunMetrics>& rows,
                        std::string* error) const {
-  const auto path = path_of(unit);
-  const auto tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      if (error != nullptr) *error = "cannot open " + tmp;
-      return false;
-    }
-    out << csv::kHeader << '\n';
-    for (const RunMetrics& m : rows) csv::write_row(out, m);
-    out.flush();
-    if (!out) {
-      if (error != nullptr) *error = "write failed on " + tmp;
-      std::error_code ec;
-      out.close();
-      std::filesystem::remove(tmp, ec);
-      return false;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    if (error != nullptr) *error = "rename failed: " + ec.message();
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  return true;
+  return csv::write_file(
+      path_of(unit),
+      [&](std::ostream& os) {
+        os << csv::header() << '\n';
+        for (const RunMetrics& m : rows) csv::write_row(os, m);
+      },
+      error);
 }
 
 ShardStore::State ShardStore::read(const WorkUnit& unit,
                                    std::vector<RunMetrics>& out) const {
-  const auto path = path_of(unit);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return State::kMissing;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  std::vector<RunMetrics> rows;
-  bool valid = !text.empty() && text.back() == '\n';
-  if (valid) {
-    std::istringstream lines(text);
-    std::string line;
-    // Shards are always written at the current version; an old-format
-    // shard means an old binary's partition and must be re-run.
-    valid = std::getline(lines, line) && line == csv::kHeader;
-    while (valid && std::getline(lines, line)) {
-      if (line.empty()) continue;
-      auto m = csv::parse_row(line, csv::kCellsV10);
-      if (!m.has_value()) {
-        valid = false;
-        break;
-      }
-      rows.push_back(std::move(*m));
-    }
-  }
-  if (!valid || rows.size() != unit.total_runs()) {
-    // Truncated / corrupt / wrong shape: delete so the supervisor
-    // schedules the unit as missing instead of tripping on it forever.
+  auto rows = csv::read_file(path_of(unit));
+  if (!rows.has_value() || rows->size() != unit.total_runs()) {
+    // Missing, truncated, corrupt or the wrong shape: delete it, so the
+    // supervisor re-runs the unit instead of tripping on it forever.
     remove(unit);
     return State::kMissing;
   }
-  for (const RunMetrics& m : rows) {
-    if (m.run_status != RunStatus::kOk) {
-      out = std::move(rows);
-      return State::kFailed;
-    }
+  out = std::move(*rows);
+  for (const RunMetrics& m : out) {
+    if (m.run_status != RunStatus::kOk) return State::kFailed;
   }
-  out = std::move(rows);
   return State::kOk;
 }
 

@@ -10,12 +10,13 @@ namespace mts::harness {
 
 /// Per-unit shard files: the fabric's durable state.
 ///
-/// Each worker writes its unit's rows as one v9 CSV (`unit-<idhex>.csv`)
-/// in the campaign's shard directory — via a temp file and an atomic
-/// rename, so a shard either exists complete or not at all; a worker
-/// killed mid-write leaves only a `.tmp` the next supervisor sweeps
-/// away.  The directory is keyed by the campaign's cache key, so a
-/// config change can never resume from foreign shards.
+/// Each worker writes its unit's rows as one campaign CSV
+/// (`unit-<idhex>.csv`, the current `csv::kVersion`) in the campaign's
+/// shard directory — via a temp file and an atomic rename, so a shard
+/// either exists complete or not at all; a worker killed mid-write
+/// leaves only a `.tmp` the next supervisor sweeps away.  The directory
+/// is keyed by the campaign's cache key, so a config change can never
+/// resume from foreign shards.
 class ShardStore {
  public:
   /// What scanning a unit's shard found.
@@ -45,9 +46,9 @@ class ShardStore {
              std::string* error) const;
 
   /// Validates and loads a unit's shard.  A shard is complete when it
-  /// carries the v9 header, every row parses, the final line ends in a
-  /// newline, and the row count equals the unit's run count; a
-  /// truncated final line (mid-write kill on a filesystem without the
+  /// carries the current header, every row parses at the current width,
+  /// the final line ends in a newline, and the row count equals the
+  /// unit's run count; a truncated final line (mid-write kill on a filesystem without the
   /// rename guarantee) or any other corruption deletes the file and
   /// reports kMissing so the supervisor simply re-runs the unit.
   State read(const WorkUnit& unit, std::vector<RunMetrics>& out) const;

@@ -9,24 +9,6 @@
 
 namespace mts::harness {
 
-/// One grid cell of a campaign plus the seed range to run in it: the
-/// fabric's unit of scheduling, retry and shard storage.  Indices point
-/// into the owning `CampaignConfig`'s lists, so a cell is meaningful
-/// only next to the config that produced it — which is exactly the
-/// resume contract: the same config partitions into the same cells.
-struct WorkCell {
-  std::uint32_t protocol = 0;   ///< index into cfg.protocols
-  std::uint32_t speed = 0;      ///< index into cfg.speeds
-  std::uint32_t adversary = 0;  ///< index into cfg.adversaries
-  std::uint32_t defense = 0;    ///< index into cfg.defenses
-  std::uint32_t traffic = 0;    ///< index into cfg.traffics
-  std::uint32_t rep_begin = 0;  ///< first repetition (seed = seed_base + rep)
-  std::uint32_t rep_end = 0;    ///< one past the last repetition
-
-  [[nodiscard]] std::uint32_t runs() const { return rep_end - rep_begin; }
-  bool operator==(const WorkCell&) const = default;
-};
-
 /// A serializable batch of cells one worker process executes and writes
 /// as one shard.  `cells_per_unit > 1` is the SoA batch mode: tiny
 /// cells share a single process setup (fork, pools, shard fsync)
@@ -66,11 +48,6 @@ std::string work_unit_label(const CampaignConfig& cfg, const WorkUnit& unit,
 /// with a defaulted traffic axis.)
 std::string encode_work_unit(const WorkUnit& unit);
 std::optional<WorkUnit> decode_work_unit(const std::string& text);
-
-/// The ScenarioConfig for one run of a cell: cfg.base with the cell's
-/// protocol/speed/adversary/defense applied and seed = seed_base + rep.
-ScenarioConfig cell_scenario(const CampaignConfig& cfg, const WorkCell& cell,
-                             std::uint32_t rep);
 
 /// Placeholder row for one run of a cell whose unit exhausted its
 /// retries: carries the full cell identity so the merged CSV keeps the

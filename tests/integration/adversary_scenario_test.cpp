@@ -138,9 +138,9 @@ TEST(AdversaryScenarioTest, CampaignSweepsTheAdversaryAxis) {
       EXPECT_EQ(m.adversary_kind, security::AdversaryKind::kMobile);
     }
   }
-  // The summarize overload scoped to an adversary cell works.
-  const stats::Summary s = result.summarize(
-      Protocol::kMts, 2, 1,
+  // Summarizing an adversary cell works.
+  const stats::Summary s = summarize(
+      result.runs(Protocol::kMts, 2, 1),
       [](const RunMetrics& m) { return m.coalition_interception_ratio; });
   EXPECT_EQ(s.count(), 2u);
 }

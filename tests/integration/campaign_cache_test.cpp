@@ -7,8 +7,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include "harness/campaign_cache.hpp"
+#include "harness/shard_store.hpp"
 #include "harness/work_unit.hpp"
 
 namespace mts::harness {
@@ -60,93 +62,140 @@ TEST_F(CampaignCacheTest, MissThenHitRoundTripsAllMetrics) {
   }
 }
 
-TEST_F(CampaignCacheTest, KeyChangesWithResultAffectingKnobs) {
-  const CampaignConfig base = tiny();
-  CampaignConfig other = base;
-  other.base.mts.check_period = sim::Time::sec(7);
-  EXPECT_NE(CampaignCache::key_of(base), CampaignCache::key_of(other));
-
-  other = base;
-  other.base.tcp.max_window = 16;
-  EXPECT_NE(CampaignCache::key_of(base), CampaignCache::key_of(other));
-
-  other = base;
-  other.repetitions = 3;
-  EXPECT_NE(CampaignCache::key_of(base), CampaignCache::key_of(other));
-
-  other = base;
-  other.speeds = {5, 10};
-  EXPECT_NE(CampaignCache::key_of(base), CampaignCache::key_of(other));
-
-  other = base;
-  other.base.aodv.local_repair = true;
-  EXPECT_NE(CampaignCache::key_of(base), CampaignCache::key_of(other));
-
-  // Thread count must NOT change the key: it cannot affect results.
-  other = base;
-  other.threads = 7;
-  EXPECT_EQ(CampaignCache::key_of(base), CampaignCache::key_of(other));
+TEST_F(CampaignCacheTest, KeyChangesWithEveryKeyedField) {
+  // Driven by the key's own field visitor: every keyed leaf (and every
+  // keyed list, grown by one element) is nudged in turn, and each nudge
+  // must move the key to a value no other nudge produced.  Every list
+  // is non-empty here so that the fields of its elements are reached
+  // too; fading stays off, because its parameters are keyed regardless.
+  CampaignConfig cfg = tiny();
+  cfg.base.explicit_flows = {FlowSpec{0, 3, sim::Time::sec(2)}};
+  cfg.base.static_positions = {mobility::Vec2{1.0, 2.0}};
+  cfg.adversaries[0].members = {4};
+  cfg.traffics[0].diurnal = {1.0, 0.5};
+  std::set<std::string> keys = {CampaignCache::key_of(cfg)};
+  const std::vector<CampaignConfig> perturbed =
+      CampaignCache::perturbations(cfg);
+  // Non-vacuous: the visitor reaches the whole ScenarioConfig tree.
+  EXPECT_GT(perturbed.size(), 100u);
+  for (std::size_t i = 0; i < perturbed.size(); ++i) {
+    EXPECT_TRUE(keys.insert(CampaignCache::key_of(perturbed[i])).second)
+        << "keyed field #" << i << " does not change the key";
+  }
 }
 
-TEST_F(CampaignCacheTest, KeyChangesWithScenarioShapeKnobs) {
-  // Each of these changes what a run computes, so each must change the
-  // key; a faded run must never be served the unfaded rows.
+TEST_F(CampaignCacheTest, KeyChangesWithTheKnobsAHandListMissed) {
+  // Knobs a hand-written key once left out: each is a different
+  // experiment, so each must be a different key.
   const CampaignConfig base = tiny();
-  const std::string key = CampaignCache::key_of(base);
   const std::vector<std::pair<const char*, void (*)(ScenarioConfig&)>>
       knobs = {
-          {"fading_enabled", [](ScenarioConfig& c) { c.fading_enabled = true; }},
-          {"fading.faded_fraction",
+          {"smr.route_count", [](ScenarioConfig& c) { c.smr.route_count = 3; }},
+          {"mac.retry_limit", [](ScenarioConfig& c) { c.mac.retry_limit = 4; }},
+          {"mac.queue_capacity",
+           [](ScenarioConfig& c) { c.mac.queue_capacity = 20; }},
+          {"tcp.min_rto",
+           [](ScenarioConfig& c) { c.tcp.min_rto = sim::Time::ms(200); }},
+          {"dsr.reply_from_cache",
+           [](ScenarioConfig& c) { c.dsr.reply_from_cache = false; }},
+          {"aodv.intermediate_reply",
+           [](ScenarioConfig& c) { c.aodv.intermediate_reply = false; }},
+          {"mts.rreq_retries",
+           [](ScenarioConfig& c) { c.mts.rreq_retries = 5; }},
+          {"channel.index_rebuild_period",
            [](ScenarioConfig& c) {
-             c.fading_enabled = true;
-             c.fading.faded_fraction = 0.5;
+             c.channel.index_rebuild_period = sim::Time::ms(250);
            }},
-          {"fading.fade_probability",
-           [](ScenarioConfig& c) {
-             c.fading_enabled = true;
-             c.fading.fade_probability = 0.3;
-           }},
-          {"fading.coherence_time",
-           [](ScenarioConfig& c) {
-             c.fading_enabled = true;
-             c.fading.coherence_time = sim::Time::sec(1);
-           }},
-          {"eavesdropper_enabled",
-           [](ScenarioConfig& c) { c.eavesdropper_enabled = false; }},
-          {"explicit_flows",
-           [](ScenarioConfig& c) { c.explicit_flows = {FlowSpec{}}; }},
-          {"explicit_flows.start",
-           [](ScenarioConfig& c) {
-             c.explicit_flows = {FlowSpec{0, 1, sim::Time::sec(2)}};
-           }},
-          {"static_positions",
-           [](ScenarioConfig& c) {
-             c.static_positions.assign(c.node_count, mobility::Vec2{1, 1});
-           }},
-          {"static_positions.millimetre",
-           [](ScenarioConfig& c) {
-             c.static_positions.assign(c.node_count, mobility::Vec2{1, 1});
-             c.static_positions.back().x += 0.001;
-           }},
+          {"fading.faded_fraction (fading off)",
+           [](ScenarioConfig& c) { c.fading.faded_fraction = 0.5; }},
       };
-  std::vector<std::string> seen = {key};
   for (const auto& [name, perturb] : knobs) {
     SCOPED_TRACE(name);
     CampaignConfig other = base;
     perturb(other.base);
-    const std::string k = CampaignCache::key_of(other);
-    EXPECT_EQ(std::find(seen.begin(), seen.end(), k), seen.end());
-    seen.push_back(k);
+    EXPECT_NE(CampaignCache::key_of(other), CampaignCache::key_of(base));
   }
-
-  // Fading parameters cannot matter while fading is off, and the
-  // scenario always replaces fading.range_m with radio_range.
-  CampaignConfig other = base;
-  other.base.fading.faded_fraction = 0.5;
-  other.base.fading.range_m = 200;
-  EXPECT_EQ(CampaignCache::key_of(other), key);
+  // Doubles are keyed by their exact bits, not 6 significant digits.
+  CampaignConfig a = base;
+  CampaignConfig b = base;
+  a.base.radio_range = 250.0001;
+  b.base.radio_range = 250.0002;
+  EXPECT_NE(CampaignCache::key_of(a), CampaignCache::key_of(b));
 }
 
+TEST_F(CampaignCacheTest, KeyIgnoresTheExcludedFields) {
+  const CampaignConfig base = tiny();
+  const std::string key = CampaignCache::key_of(base);
+  const std::vector<std::pair<const char*, void (*)(CampaignConfig&)>>
+      excluded = {
+          // The pool size cannot affect results.
+          {"threads", [](CampaignConfig& c) { c.threads = 7; }},
+          // The six per-cell fields cell_scenario overwrites.
+          {"base.protocol",
+           [](CampaignConfig& c) { c.base.protocol = Protocol::kSmr; }},
+          {"base.max_speed", [](CampaignConfig& c) { c.base.max_speed = 19; }},
+          {"base.seed", [](CampaignConfig& c) { c.base.seed = 99; }},
+          {"base.adversary",
+           [](CampaignConfig& c) {
+             c.base.adversary.kind = security::AdversaryKind::kBlackhole;
+           }},
+          {"base.defense",
+           [](CampaignConfig& c) {
+             c.base.defense.kind = security::DefenseKind::kSuite;
+           }},
+          {"base.traffic",
+           [](CampaignConfig& c) { c.base.traffic.enabled = true; }},
+          // The scenario replaces it with radio_range.
+          {"base.fading.range_m",
+           [](CampaignConfig& c) { c.base.fading.range_m = 200; }},
+      };
+  for (const auto& [name, perturb] : excluded) {
+    SCOPED_TRACE(name);
+    CampaignConfig other = base;
+    perturb(other);
+    EXPECT_EQ(CampaignCache::key_of(other), key);
+  }
+}
+
+TEST_F(CampaignCacheTest, OtherVersionFilesAreAFullMiss) {
+  // Only the current version is read.  A v9 file is never found under a
+  // current key in practice (the key embeds the version), but one
+  // planted there must be a miss as a cache entry and as a shard.
+  CampaignConfig cfg = tiny();
+  cfg.repetitions = 1;
+  const char* v9 =
+      "protocol,speed,seed,participating,relay_stddev,alpha,max_beta,"
+      "highest_ri,pe,pr,ri,delay_s,thr_seg_s,thr_kbps,delivery,delivered,"
+      "data_sent,retx,timeouts,acks_sent,acks_recv,eavesdropper,ctrl,"
+      "switches,checks,events,adv_index,adv_kind,adv_count,adv_captured,"
+      "adv_ri,adv_missing,adv_absorbed,adv_tunneled,adv_gray_absorbed,"
+      "adv_endpoint_acc,adv_flood_injected,def_index,def_kind,def_detect_s,"
+      "def_quarantined,def_recovery_s,def_fpr,def_suppressed,def_probes,"
+      "sec_shares,sec_threshold,sec_captured,sec_keys,sec_recovery,"
+      "run_status,run_attempts,run_error,adv_members\n"
+      "1,5,1,7,0.25,120,30,0.125,4,80,0.05,0.033,26.5,217.1,0.93,80,86,3,1,"
+      "80,78,12,45,0,0,123456,0,4,2,10,0.1,70,5,17,3,0.5,40,0,1,2.5,3,4.5,"
+      "0.25,6,7,5,5,3,2,0.66,ok,2,-,2.5.\n";
+  std::filesystem::create_directories(dir_);
+  {
+    std::ofstream out(dir_ / (CampaignCache::key_of(cfg) + ".csv"));
+    out << v9;
+  }
+  EXPECT_FALSE(CampaignCache::load(cfg).has_value());
+
+  const auto units = partition_campaign(cfg, 1);
+  ASSERT_EQ(units.size(), 1u);
+  ShardStore store(dir_ / "shards");
+  ASSERT_TRUE(store.prepare());
+  {
+    std::ofstream out(store.path_of(units[0]));
+    out << v9;
+  }
+  std::vector<RunMetrics> rows;
+  EXPECT_EQ(store.read(units[0], rows), ShardStore::State::kMissing);
+  EXPECT_FALSE(std::filesystem::exists(store.path_of(units[0])))
+      << "a rejected shard is deleted so the unit re-runs";
+}
 TEST_F(CampaignCacheTest, AdversaryAxisRoundTripsAndChangesTheKey) {
   CampaignConfig cfg = tiny();
   // Dense enough to actually deliver traffic: a zero-traffic grid would
@@ -344,221 +393,6 @@ TEST_F(CampaignCacheTest, SecrecyMetricsRoundTripInV8Columns) {
   EXPECT_NE(CampaignCache::key_of(cfg), CampaignCache::key_of(other));
 }
 
-TEST_F(CampaignCacheTest, V7RowsStillParseWithSecrecyMetricsZeroed) {
-  // Forward compatibility: a cache file written before the v8 columns
-  // (46 cells, v7 header) must load, with the five secrecy-game metrics
-  // defaulting to zero.  This is the exact v7 header and a row as the
-  // previous binary wrote them.
-  CampaignConfig cfg = tiny();
-  cfg.speeds = {5};
-  cfg.protocols = {Protocol::kAodv};
-  cfg.repetitions = 1;
-
-  const char* v7_header =
-      "protocol,speed,seed,participating,relay_stddev,alpha,max_beta,"
-      "highest_ri,pe,pr,ri,delay_s,thr_seg_s,thr_kbps,delivery,delivered,"
-      "data_sent,retx,timeouts,acks_sent,acks_recv,eavesdropper,ctrl,"
-      "switches,checks,events,adv_index,adv_kind,adv_count,adv_captured,"
-      "adv_ri,adv_missing,adv_absorbed,adv_tunneled,adv_gray_absorbed,"
-      "adv_endpoint_acc,adv_flood_injected,def_index,def_kind,def_detect_s,"
-      "def_quarantined,def_recovery_s,def_fpr,def_suppressed,def_probes,"
-      "adv_members";
-  const char* v7_row =
-      "1,5,1,7,0.25,120,30,0.125,4,80,0.05,0.033,26.5,217.1,0.93,80,86,3,1,"
-      "80,78,12,45,0,0,123456,0,4,2,10,0.1,70,5,17,3,0.5,40,0,1,2.5,3,4.5,"
-      "0.25,6,7,2.5.";
-
-  std::filesystem::create_directories(dir_);
-  const auto path = dir_ / (CampaignCache::key_of(cfg) + ".csv");
-  {
-    std::ofstream out(path);
-    out << v7_header << '\n' << v7_row << '\n';
-  }
-  const auto loaded = CampaignCache::load(cfg);
-  ASSERT_TRUE(loaded.has_value()) << "v7 cache file rejected";
-  const auto& runs = loaded->runs(Protocol::kAodv, 5);
-  ASSERT_EQ(runs.size(), 1u);
-  const RunMetrics& m = runs[0];
-  EXPECT_EQ(m.seed, 1u);
-  EXPECT_EQ(m.segments_delivered, 80u);
-  // The v7 defense columns parse...
-  EXPECT_EQ(m.defense_index, 0u);
-  EXPECT_DOUBLE_EQ(m.detection_time_s, 2.5);
-  EXPECT_EQ(m.paths_quarantined, 3u);
-  EXPECT_EQ(m.probes_sent, 7u);
-  EXPECT_EQ(m.adversary_members, (std::vector<net::NodeId>{2, 5}));
-  // ...and the v8-only secrecy metrics default.
-  EXPECT_EQ(m.secrecy_shares, 0u);
-  EXPECT_EQ(m.secrecy_threshold, 0u);
-  EXPECT_EQ(m.shares_captured, 0u);
-  EXPECT_EQ(m.keys_recovered, 0u);
-  EXPECT_DOUBLE_EQ(m.key_recovery_rate, 0.0);
-
-  // Storing refreshes the file to the v8 column set, which round-trips.
-  CampaignCache::store(cfg, *loaded);
-  const auto reloaded = CampaignCache::load(cfg);
-  ASSERT_TRUE(reloaded.has_value());
-  EXPECT_EQ(reloaded->runs(Protocol::kAodv, 5)[0].probes_sent, 7u);
-}
-
-TEST_F(CampaignCacheTest, V6RowsStillParseWithDefenseMetricsZeroed) {
-  // Forward compatibility: a cache file written before the v7 columns
-  // (38 cells, v6 header) must load, with the eight defense metrics
-  // defaulting to zero.  This is the exact v6 header and a row as the
-  // previous binary wrote them.
-  CampaignConfig cfg = tiny();
-  cfg.speeds = {5};
-  cfg.protocols = {Protocol::kAodv};
-  cfg.repetitions = 1;
-
-  const char* v6_header =
-      "protocol,speed,seed,participating,relay_stddev,alpha,max_beta,"
-      "highest_ri,pe,pr,ri,delay_s,thr_seg_s,thr_kbps,delivery,delivered,"
-      "data_sent,retx,timeouts,acks_sent,acks_recv,eavesdropper,ctrl,"
-      "switches,checks,events,adv_index,adv_kind,adv_count,adv_captured,"
-      "adv_ri,adv_missing,adv_absorbed,adv_tunneled,adv_gray_absorbed,"
-      "adv_endpoint_acc,adv_flood_injected,adv_members";
-  const char* v6_row =
-      "1,5,1,7,0.25,120,30,0.125,4,80,0.05,0.033,26.5,217.1,0.93,80,86,3,1,"
-      "80,78,12,45,0,0,123456,0,4,2,10,0.1,70,5,17,3,0.5,40,2.5.";
-
-  std::filesystem::create_directories(dir_);
-  const auto path = dir_ / (CampaignCache::key_of(cfg) + ".csv");
-  {
-    std::ofstream out(path);
-    out << v6_header << '\n' << v6_row << '\n';
-  }
-  const auto loaded = CampaignCache::load(cfg);
-  ASSERT_TRUE(loaded.has_value()) << "v6 cache file rejected";
-  const auto& runs = loaded->runs(Protocol::kAodv, 5);
-  ASSERT_EQ(runs.size(), 1u);
-  const RunMetrics& m = runs[0];
-  EXPECT_EQ(m.seed, 1u);
-  EXPECT_EQ(m.segments_delivered, 80u);
-  // The v6 active-attack columns parse...
-  EXPECT_EQ(m.wormhole_tunneled, 17u);
-  EXPECT_EQ(m.grayhole_absorbed, 3u);
-  EXPECT_DOUBLE_EQ(m.endpoint_inference_accuracy, 0.5);
-  EXPECT_EQ(m.flood_injected, 40u);
-  EXPECT_EQ(m.adversary_members, (std::vector<net::NodeId>{2, 5}));
-  // ...and the v7-only defense metrics default.
-  EXPECT_EQ(m.defense_index, 0u);
-  EXPECT_EQ(m.defense_kind, security::DefenseKind::kNone);
-  EXPECT_DOUBLE_EQ(m.detection_time_s, 0.0);
-  EXPECT_EQ(m.paths_quarantined, 0u);
-  EXPECT_DOUBLE_EQ(m.recovery_time_s, 0.0);
-  EXPECT_DOUBLE_EQ(m.false_positive_rate, 0.0);
-  EXPECT_EQ(m.flood_suppressed, 0u);
-  EXPECT_EQ(m.probes_sent, 0u);
-
-  // Storing refreshes the file to the v7 column set, which round-trips.
-  CampaignCache::store(cfg, *loaded);
-  const auto reloaded = CampaignCache::load(cfg);
-  ASSERT_TRUE(reloaded.has_value());
-  EXPECT_EQ(reloaded->runs(Protocol::kAodv, 5)[0].wormhole_tunneled, 17u);
-}
-
-TEST_F(CampaignCacheTest, V5RowsStillParseWithActiveMetricsZeroed) {
-  // Forward compatibility: a cache file written before the v6 columns
-  // (34 cells, v5 header) must load, with the four active-attack
-  // metrics defaulting to zero.  This is the exact v5 header and a row
-  // as the previous binary wrote them.
-  CampaignConfig cfg = tiny();
-  cfg.speeds = {5};
-  cfg.protocols = {Protocol::kAodv};
-  cfg.repetitions = 1;
-
-  const char* v5_header =
-      "protocol,speed,seed,participating,relay_stddev,alpha,max_beta,"
-      "highest_ri,pe,pr,ri,delay_s,thr_seg_s,thr_kbps,delivery,delivered,"
-      "data_sent,retx,timeouts,acks_sent,acks_recv,eavesdropper,ctrl,"
-      "switches,checks,events,adv_index,adv_kind,adv_count,adv_captured,"
-      "adv_ri,adv_missing,adv_absorbed,adv_members";
-  const char* v5_row =
-      "1,5,1,7,0.25,120,30,0.125,4,80,0.05,0.033,26.5,217.1,0.93,80,86,3,1,"
-      "80,78,12,45,0,0,123456,0,0,0,0,0,80,0,-";
-
-  std::filesystem::create_directories(dir_);
-  const auto path = dir_ / (CampaignCache::key_of(cfg) + ".csv");
-  {
-    std::ofstream out(path);
-    out << v5_header << '\n' << v5_row << '\n';
-  }
-  const auto loaded = CampaignCache::load(cfg);
-  ASSERT_TRUE(loaded.has_value()) << "v5 cache file rejected";
-  const auto& runs = loaded->runs(Protocol::kAodv, 5);
-  ASSERT_EQ(runs.size(), 1u);
-  const RunMetrics& m = runs[0];
-  EXPECT_EQ(m.seed, 1u);
-  EXPECT_EQ(m.segments_delivered, 80u);
-  EXPECT_EQ(m.events_executed, 123456u);
-  EXPECT_DOUBLE_EQ(m.delivery_rate, 0.93);
-  // The v6-only metrics default.
-  EXPECT_EQ(m.wormhole_tunneled, 0u);
-  EXPECT_EQ(m.grayhole_absorbed, 0u);
-  EXPECT_DOUBLE_EQ(m.endpoint_inference_accuracy, 0.0);
-  EXPECT_EQ(m.flood_injected, 0u);
-
-  // Storing refreshes the file to the v6 column set, which round-trips.
-  CampaignCache::store(cfg, *loaded);
-  const auto reloaded = CampaignCache::load(cfg);
-  ASSERT_TRUE(reloaded.has_value());
-  EXPECT_EQ(reloaded->runs(Protocol::kAodv, 5)[0].segments_delivered, 80u);
-}
-
-TEST_F(CampaignCacheTest, V8RowsStillParseWithFabricColumnsDefaulted) {
-  // Forward compatibility: a cache file written before the v9 fabric
-  // columns (51 cells, v8 header) must load with run_status ok,
-  // attempts 1 and no error — exactly what a pre-fabric binary meant.
-  CampaignConfig cfg = tiny();
-  cfg.speeds = {5};
-  cfg.protocols = {Protocol::kAodv};
-  cfg.repetitions = 1;
-
-  const char* v8_header =
-      "protocol,speed,seed,participating,relay_stddev,alpha,max_beta,"
-      "highest_ri,pe,pr,ri,delay_s,thr_seg_s,thr_kbps,delivery,delivered,"
-      "data_sent,retx,timeouts,acks_sent,acks_recv,eavesdropper,ctrl,"
-      "switches,checks,events,adv_index,adv_kind,adv_count,adv_captured,"
-      "adv_ri,adv_missing,adv_absorbed,adv_tunneled,adv_gray_absorbed,"
-      "adv_endpoint_acc,adv_flood_injected,def_index,def_kind,def_detect_s,"
-      "def_quarantined,def_recovery_s,def_fpr,def_suppressed,def_probes,"
-      "sec_shares,sec_threshold,sec_captured,sec_keys,sec_recovery,"
-      "adv_members";
-  const char* v8_row =
-      "1,5,1,7,0.25,120,30,0.125,4,80,0.05,0.033,26.5,217.1,0.93,80,86,3,1,"
-      "80,78,12,45,0,0,123456,0,4,2,10,0.1,70,5,17,3,0.5,40,0,1,2.5,3,4.5,"
-      "0.25,6,7,5,5,3,2,0.66,2.5.";
-
-  std::filesystem::create_directories(dir_);
-  const auto path = dir_ / (CampaignCache::key_of(cfg) + ".csv");
-  {
-    std::ofstream out(path);
-    out << v8_header << '\n' << v8_row << '\n';
-  }
-  const auto loaded = CampaignCache::load(cfg);
-  ASSERT_TRUE(loaded.has_value()) << "v8 cache file rejected";
-  const auto& runs = loaded->runs(Protocol::kAodv, 5);
-  ASSERT_EQ(runs.size(), 1u);
-  const RunMetrics& m = runs[0];
-  EXPECT_EQ(m.seed, 1u);
-  // The v8 secrecy columns parse...
-  EXPECT_EQ(m.secrecy_shares, 5u);
-  EXPECT_EQ(m.shares_captured, 3u);
-  EXPECT_DOUBLE_EQ(m.key_recovery_rate, 0.66);
-  EXPECT_EQ(m.adversary_members, (std::vector<net::NodeId>{2, 5}));
-  // ...and the v9-only fabric columns default to a clean run.
-  EXPECT_EQ(m.run_status, RunStatus::kOk);
-  EXPECT_EQ(m.attempts, 1u);
-  EXPECT_TRUE(m.run_error.empty());
-
-  // Storing refreshes the file to the v9 column set, which round-trips.
-  CampaignCache::store(cfg, *loaded);
-  const auto reloaded = CampaignCache::load(cfg);
-  ASSERT_TRUE(reloaded.has_value());
-  EXPECT_EQ(reloaded->runs(Protocol::kAodv, 5)[0].shares_captured, 3u);
-}
-
 TEST_F(CampaignCacheTest, FailedRowsRoundTripInV10Columns) {
   CampaignConfig cfg = tiny();
   cfg.repetitions = 1;
@@ -648,69 +482,6 @@ TEST_F(CampaignCacheTest, TrafficAxisRoundTripsAndChangesTheKey) {
   other = cfg;
   other.traffics.pop_back();
   EXPECT_NE(CampaignCache::key_of(cfg), CampaignCache::key_of(other));
-}
-
-TEST_F(CampaignCacheTest, V9RowsStillParseWithTrafficColumnsDefaulted) {
-  // Forward compatibility: a cache file written before the v10 traffic
-  // columns (54 cells, v9 header) must load with the fifteen user-plane
-  // metrics defaulting to zero.  This is the exact v9 header and a row
-  // as the previous binary wrote them.
-  CampaignConfig cfg = tiny();
-  cfg.speeds = {5};
-  cfg.protocols = {Protocol::kAodv};
-  cfg.repetitions = 1;
-
-  const char* v9_header =
-      "protocol,speed,seed,participating,relay_stddev,alpha,max_beta,"
-      "highest_ri,pe,pr,ri,delay_s,thr_seg_s,thr_kbps,delivery,delivered,"
-      "data_sent,retx,timeouts,acks_sent,acks_recv,eavesdropper,ctrl,"
-      "switches,checks,events,adv_index,adv_kind,adv_count,adv_captured,"
-      "adv_ri,adv_missing,adv_absorbed,adv_tunneled,adv_gray_absorbed,"
-      "adv_endpoint_acc,adv_flood_injected,def_index,def_kind,def_detect_s,"
-      "def_quarantined,def_recovery_s,def_fpr,def_suppressed,def_probes,"
-      "sec_shares,sec_threshold,sec_captured,sec_keys,sec_recovery,"
-      "run_status,run_attempts,run_error,adv_members";
-  const char* v9_row =
-      "1,5,1,7,0.25,120,30,0.125,4,80,0.05,0.033,26.5,217.1,0.93,80,86,3,1,"
-      "80,78,12,45,0,0,123456,0,4,2,10,0.1,70,5,17,3,0.5,40,0,1,2.5,3,4.5,"
-      "0.25,6,7,5,5,3,2,0.66,ok,2,-,2.5.";
-
-  std::filesystem::create_directories(dir_);
-  const auto path = dir_ / (CampaignCache::key_of(cfg) + ".csv");
-  {
-    std::ofstream out(path);
-    out << v9_header << '\n' << v9_row << '\n';
-  }
-  const auto loaded = CampaignCache::load(cfg);
-  ASSERT_TRUE(loaded.has_value()) << "v9 cache file rejected";
-  const auto& runs = loaded->runs(Protocol::kAodv, 5);
-  ASSERT_EQ(runs.size(), 1u);
-  const RunMetrics& m = runs[0];
-  EXPECT_EQ(m.seed, 1u);
-  // The v9 secrecy + fabric columns parse...
-  EXPECT_EQ(m.shares_captured, 3u);
-  EXPECT_DOUBLE_EQ(m.key_recovery_rate, 0.66);
-  EXPECT_EQ(m.run_status, RunStatus::kOk);
-  EXPECT_EQ(m.attempts, 2u);
-  EXPECT_EQ(m.adversary_members, (std::vector<net::NodeId>{2, 5}));
-  // ...and the v10-only user-plane metrics default: the row predates
-  // the traffic plane, so it can only mean "workload off".
-  EXPECT_EQ(m.traffic_index, 0u);
-  EXPECT_EQ(m.sessions_started, 0u);
-  EXPECT_EQ(m.sessions_completed, 0u);
-  EXPECT_EQ(m.sessions_rejected, 0u);
-  for (const auto& c : m.traffic_classes) {
-    EXPECT_EQ(c.flows_completed, 0u);
-    EXPECT_DOUBLE_EQ(c.delay_p50_ms, 0.0);
-    EXPECT_DOUBLE_EQ(c.delay_p99_ms, 0.0);
-    EXPECT_DOUBLE_EQ(c.key_exposure, 0.0);
-  }
-
-  // Storing refreshes the file to the v10 column set, which round-trips.
-  CampaignCache::store(cfg, *loaded);
-  const auto reloaded = CampaignCache::load(cfg);
-  ASSERT_TRUE(reloaded.has_value());
-  EXPECT_EQ(reloaded->runs(Protocol::kAodv, 5)[0].shares_captured, 3u);
 }
 
 TEST_F(CampaignCacheTest, TruncationAtEveryByteOfTheLastRowIsAFullMiss) {

@@ -281,12 +281,12 @@ TEST(DefenseScenarioTest, CampaignSweepsTheDefenseAxis) {
     }
   }
   // Defended cells probe; undefended cells must not.
-  const stats::Summary probes = result.summarize(
-      Protocol::kMts, 2, 1, 1,
+  const stats::Summary probes = summarize(
+      result.runs(Protocol::kMts, 2, 1, 1),
       [](const RunMetrics& m) { return static_cast<double>(m.probes_sent); });
   EXPECT_GT(probes.mean(), 0.0);
-  const stats::Summary no_probes = result.summarize(
-      Protocol::kMts, 2, 1, 0,
+  const stats::Summary no_probes = summarize(
+      result.runs(Protocol::kMts, 2, 1, 0),
       [](const RunMetrics& m) { return static_cast<double>(m.probes_sent); });
   EXPECT_EQ(no_probes.mean(), 0.0);
 }

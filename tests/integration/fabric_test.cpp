@@ -179,15 +179,11 @@ TEST_F(FabricTest, TimeoutKillsTheHangingWorkerAndTheRetrySucceeds) {
     EXPECT_EQ(got.run_status, RunStatus::kOk);
     EXPECT_EQ(got.attempts, 2u);
   }
-  EXPECT_EQ(report.result.summarize(
-                          Protocol::kAodv, 5,
-                          [](const RunMetrics& m) {
-                            return static_cast<double>(m.segments_delivered);
-                          })
-                .mean(),
-            reference.summarize(Protocol::kAodv, 5, [](const RunMetrics& m) {
-                       return static_cast<double>(m.segments_delivered);
-                     }).mean());
+  const auto delivered = [](const RunMetrics& m) {
+    return static_cast<double>(m.segments_delivered);
+  };
+  EXPECT_EQ(summarize(report.result.runs(Protocol::kAodv, 5), delivered).mean(),
+            summarize(reference.runs(Protocol::kAodv, 5), delivered).mean());
 }
 
 TEST_F(FabricTest, PermanentHangDegradesToFailedRowsAndStillCompletes) {
@@ -221,8 +217,8 @@ TEST_F(FabricTest, PermanentHangDegradesToFailedRowsAndStillCompletes) {
   }
   // Honest accounting: summarize must skip the failed placeholders —
   // zeros averaged in would silently bias every figure.
-  const stats::Summary s = report.result.summarize(
-      Protocol::kAodv, 5,
+  const stats::Summary s = summarize(
+      report.result.runs(Protocol::kAodv, 5),
       [](const RunMetrics& m) { return static_cast<double>(m.seed); });
   EXPECT_EQ(s.count(), 0u);
   // And the degraded grid stays out of the campaign cache so the next

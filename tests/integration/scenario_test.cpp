@@ -153,8 +153,8 @@ TEST(CampaignTest, RunsFullGridAndAggregates) {
   for (Protocol p : cfg.protocols) {
     for (double v : cfg.speeds) {
       EXPECT_EQ(r.runs(p, v).size(), 2u);
-      const auto s = r.summarize(
-          p, v, [](const RunMetrics& m) { return m.delivery_rate; });
+      const auto s = summarize(
+          r.runs(p, v), [](const RunMetrics& m) { return m.delivery_rate; });
       EXPECT_EQ(s.count(), 2u);
       EXPECT_GE(s.mean(), 0.0);
     }
@@ -182,7 +182,7 @@ TEST(CampaignTest, PairedSeedsAcrossProtocols) {
 TEST(CampaignTest, MissingCellYieldsEmpty) {
   CampaignResult r;
   EXPECT_TRUE(r.runs(Protocol::kDsr, 99).empty());
-  EXPECT_EQ(r.summarize(Protocol::kDsr, 99, [](const RunMetrics&) {
+  EXPECT_EQ(summarize(r.runs(Protocol::kDsr, 99), [](const RunMetrics&) {
               return 1.0;
             }).count(),
             0u);
