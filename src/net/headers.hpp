@@ -271,8 +271,10 @@ using RoutingHeader =
                  MtsCheckErrorHeader, MtsRerrHeader, MtsDataTag,
                  MtsProbeHeader>;
 
-/// On-wire size contribution of the routing header (bytes).  Sizes follow
-/// the respective drafts: fixed part + 4 bytes per carried address.
+/// On-wire size contribution of the routing header (bytes): the size of
+/// the bytes the wire codec writes for it (defined in net/wire.cpp).
+/// Sizes follow the respective drafts: fixed part + 4 bytes per carried
+/// address.
 std::uint32_t routing_header_bytes(const RoutingHeader& h);
 
 }  // namespace mts::net

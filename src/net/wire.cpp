@@ -1,7 +1,10 @@
 #include "net/wire.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <concepts>
+#include <type_traits>
+#include <utility>
+#include <variant>
 
 #include "sim/error.hpp"
 
@@ -10,640 +13,465 @@ namespace mts::net::wire {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Size law.  Fixed parts + 4 bytes per carried address, matching the
-// AODV/DSR drafts; these constants are shared by the size visitor and
-// the encoders, and encode_headers() verifies the bytes written against
-// routing_wire_size(), so the two cannot drift apart.
+// Field operations.  Each header's byte layout is one `layout` function
+// template that lists its fields in wire order; it runs against three
+// `io` types — Writer (encode), Reader (decode) and Sizer (the size law
+// `routing_header_bytes`) — so the three cannot disagree.  Multi-byte
+// fields are big-endian.
 // ---------------------------------------------------------------------------
 
-constexpr std::uint32_t kPerAddressBytes = 4;
-constexpr std::uint32_t kAodvRreqBytes = 24;
-constexpr std::uint32_t kAodvRrepBytes = 20;
-constexpr std::uint32_t kAodvRerrFixed = 4;
-constexpr std::uint32_t kAodvRerrPerEntry = 8;
-constexpr std::uint32_t kDsrRreqFixed = 8;
-constexpr std::uint32_t kDsrRrepFixed = 8;
-constexpr std::uint32_t kDsrRerrFixed = 12;
-constexpr std::uint32_t kSourceRouteFixed = 4;
-constexpr std::uint32_t kMtsListFixed = 16;  // RREQ/RREP/check/check-error
-constexpr std::uint32_t kMtsRerrBytes = 16;
-constexpr std::uint32_t kMtsDataTagBytes = 4;
-constexpr std::uint32_t kMtsProbeBytes = 8;
+constexpr std::int64_t kNsPerUs = 1000;
 
-constexpr std::uint32_t route_bytes(std::size_t n) {
-  return static_cast<std::uint32_t>(n) * kPerAddressBytes;
-}
+/// The fixed-width unsigned fields, shared by the three io types (wider
+/// fields are all times, see `time`).
+template <class Io>
+struct Fields {
+  constexpr void u8(auto& v) { self().uint(v, 1); }
+  constexpr void u16(auto& v) { self().uint(v, 2); }
+  constexpr void u32(auto& v) { self().uint(v, 4); }
 
-// ---------------------------------------------------------------------------
-// Byte-level primitives (big-endian).
-// ---------------------------------------------------------------------------
+ private:
+  constexpr Io& self() { return static_cast<Io&>(*this); }
+};
 
-class Writer {
+/// Appends the encoding to `out`.  A field that does not fit its wire
+/// width, or an implied field that disagrees with what implies it, is a
+/// construction bug, not bad input, so these `require`.
+class Writer : public Fields<Writer> {
  public:
-  explicit Writer(std::vector<std::uint8_t>& out)
-      : out_(out), base_(out.size()) {}
+  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
 
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) {
-    u8(static_cast<std::uint8_t>(v >> 8));
-    u8(static_cast<std::uint8_t>(v));
+  void uint(std::uint64_t v, int bytes) {
+    sim::require(bytes == 8 || v >> (8 * bytes) == 0,
+                 "wire: value exceeds its wire field");
+    for (int i = bytes - 1; i >= 0; --i) {
+      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
   }
-  void u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v >> 16));
-    u16(static_cast<std::uint16_t>(v));
-  }
-  void u48(std::uint64_t v) {
-    u16(static_cast<std::uint16_t>(v >> 32));
-    u32(static_cast<std::uint32_t>(v));
-  }
-  void u64(std::uint64_t v) {
-    u32(static_cast<std::uint32_t>(v >> 32));
-    u32(static_cast<std::uint32_t>(v));
-  }
+  void flag(bool v) { out_.push_back(v ? 1 : 0); }
   void pad(std::size_t n) { out_.insert(out_.end(), n, 0); }
-
-  [[nodiscard]] std::size_t written() const { return out_.size() - base_; }
+  void tag(std::uint8_t t) { out_.push_back(t); }
+  void version_kind(PacketKind k) {
+    const auto kind = static_cast<std::uint32_t>(k);
+    sim::require(kind <= 0x0f, "wire: packet kind exceeds the v1 kind nibble");
+    out_.push_back(
+        static_cast<std::uint8_t>((std::uint32_t{kWireVersion} << 4) | kind));
+  }
+  /// `t` in `unit_ns` ticks (floored); a u64 carries the raw signed value.
+  void time(sim::Time t, int bytes, std::int64_t unit_ns) {
+    const std::int64_t ticks = t.nanoseconds() / unit_ns;
+    sim::require(bytes == 8 || (ticks >= 0 && ticks >> (8 * bytes) == 0),
+                 "wire: time outside its wire field's range");
+    uint(static_cast<std::uint64_t>(ticks), bytes);
+  }
+  void route(const RouteVec& r) {
+    for (NodeId n : r) uint(n, 4);
+  }
+  void count(const auto& list) { uint(list.size(), 1); }
+  void implied(const auto& field, const auto& source) {
+    sim::require(field == source, "wire: implied field disagrees with its source");
+  }
+  bool expect(bool cond, const char* what) {
+    sim::require(cond, what);
+    return true;
+  }
 
  private:
   std::vector<std::uint8_t>& out_;
-  std::size_t base_;
 };
 
-/// Bounds-checked big-endian reader.  Reads past the end (or a nonzero
-/// padding byte) latch the fail flag and return zeros; decoders check
-/// `ok()` once per section instead of per field.
-class Reader {
+/// Reads one bounded section.  A read past the end, nonzero padding, an
+/// undefined flag bit or a broken expectation latches the fail flag (reads
+/// then return zeros); the caller checks `ok()` once, never per field.
+class Reader : public Fields<Reader> {
  public:
   Reader(const std::uint8_t* d, std::size_t n) : d_(d), n_(n) {}
 
-  std::uint8_t u8() {
-    if (off_ >= n_) {
+  void uint(auto& v, int bytes) {
+    std::uint64_t x = 0;
+    for (int i = 0; i < bytes; ++i) x = (x << 8) | byte();
+    v = static_cast<std::remove_reference_t<decltype(v)>>(x);
+  }
+  void flag(bool& v) {
+    const std::uint8_t b = byte();
+    fail_if(b > 1);
+    v = b != 0;
+  }
+  /// Padding must be zero on the wire; anything else is corruption (and
+  /// would break encode(decode(buf)) == buf).
+  void pad(std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) fail_if(byte() != 0);
+  }
+  void tag(std::uint8_t t) { fail_if(byte() != t); }
+  void version_kind(PacketKind& k) {
+    const std::uint8_t b = byte();
+    fail_if((b >> 4) != kWireVersion ||
+            (b & 0x0f) > static_cast<std::uint8_t>(PacketKind::kMtsRerr));
+    k = static_cast<PacketKind>(b & 0x0f);
+  }
+  void time(sim::Time& t, int bytes, std::int64_t unit_ns) {
+    std::uint64_t ticks = 0;
+    uint(ticks, bytes);
+    t = sim::Time::ns(static_cast<std::int64_t>(ticks) * unit_ns);
+  }
+  /// A route list runs to the end of the section, 4 bytes per address
+  /// (DSR-option style: the count is implicit in the section length).
+  void route(RouteVec& r) {
+    fail_if(left() % 4 != 0);
+    if (!ok_) return;
+    r.reserve(left() / 4);
+    while (left() != 0) r.push_back(read<NodeId>(4));
+  }
+  /// The list's length; its entries follow later in the layout, and the
+  /// section's exact-length rule rejects a count that lies.
+  void count(auto& list) { list.resize(read<std::uint8_t>(1)); }
+  void implied(auto& field, const auto& source) { field = source; }
+  bool expect(bool cond, const char*) {
+    fail_if(!cond);
+    return cond;
+  }
+
+  [[nodiscard]] bool ok() const { return ok_; }
+  [[nodiscard]] std::size_t left() const { return n_ - off_; }
+  [[nodiscard]] std::uint8_t peek() const { return off_ < n_ ? d_[off_] : 0; }
+
+ private:
+  std::uint8_t byte() {
+    if (off_ == n_) {
       ok_ = false;
       return 0;
     }
     return d_[off_++];
   }
-  std::uint16_t u16() {
-    const std::uint16_t hi = u8();
-    return static_cast<std::uint16_t>((hi << 8) | u8());
-  }
-  std::uint32_t u32() {
-    const std::uint32_t hi = u16();
-    return (hi << 16) | u16();
-  }
-  std::uint64_t u48() {
-    const std::uint64_t hi = u16();
-    return (hi << 32) | u32();
-  }
-  std::uint64_t u64() {
-    const std::uint64_t hi = u32();
-    return (hi << 32) | u32();
-  }
-  /// Padding must be zero on the wire; anything else is corruption (and
-  /// would break encode(decode(buf)) == buf).
-  void pad(std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (u8() != 0) ok_ = false;
-    }
-  }
-  /// A one-byte flag field with only `mask` bits defined.
-  std::uint8_t flags(std::uint8_t mask) {
-    const std::uint8_t v = u8();
-    if ((v & ~mask) != 0) ok_ = false;
+  template <class T>
+  T read(int bytes) {
+    T v{};
+    uint(v, bytes);
     return v;
   }
+  void fail_if(bool bad) {
+    if (bad) ok_ = false;
+  }
 
-  [[nodiscard]] bool ok() const { return ok_; }
-  [[nodiscard]] std::size_t offset() const { return off_; }
-  [[nodiscard]] std::uint8_t peek() const { return off_ < n_ ? d_[off_] : 0; }
-
- private:
   const std::uint8_t* d_;
   std::size_t n_;
   std::size_t off_ = 0;
   bool ok_ = true;
 };
 
-// ---------------------------------------------------------------------------
-// Encoders.
-// ---------------------------------------------------------------------------
+/// Adds up widths; implied fields and expectations cost nothing.
+struct Sizer : Fields<Sizer> {
+  std::uint32_t bytes = 0;
 
-void encode_common(Writer& w, const CommonHeader& c, const HopState& hop) {
-  const auto kind = static_cast<std::uint32_t>(c.kind);
-  sim::require(kind <= 0x0f, "wire: packet kind exceeds the v1 kind nibble");
-  sim::require(c.payload_bytes <= 0xffff,
-               "wire: payload_bytes exceeds the u16 wire field");
-  const std::int64_t us = c.originated.nanoseconds() / 1000;
-  sim::require(us >= 0 && us <= 0xffffffffLL,
-               "wire: originated outside the u32-microsecond wire range");
-  w.u8(static_cast<std::uint8_t>((std::uint32_t{kWireVersion} << 4) | kind));
-  w.u8(hop.ttl);
-  w.u16(static_cast<std::uint16_t>(c.payload_bytes));
-  w.u32(c.src);
-  w.u32(c.dst);
-  w.u32(c.uid);
-  w.u32(static_cast<std::uint32_t>(us));
-}
-
-void encode_tcp(Writer& w, const TcpHeader& t) {
-  w.u8(kTagTcp);
-  w.u8(t.retransmit ? 1 : 0);
-  w.u16(t.flow_id);
-  w.u32(t.seq);
-  w.u32(t.ack);
-  w.u64(static_cast<std::uint64_t>(t.ts.nanoseconds()));
-}
-
-void write_route(Writer& w, const RouteVec& route) {
-  for (NodeId n : route) w.u32(n);
-}
-
-/// Encodes the routing header/option.  The common header is consulted
-/// for the invariants that let v1 omit redundant fields (documented per
-/// alternative); violating one is a construction bug, not bad input, so
-/// these are require()s rather than soft failures.  Per-hop fields (hop
-/// counts, route cursors) come from the `HopState` cell, not the header
-/// structs — the wire layout is unchanged, only the in-memory home of
-/// those fields moved.
-struct EncodeVisitor {
-  Writer& w;
-  const CommonHeader& c;
-  const HopState& hop;
-
-  void check_kind(PacketKind expected) const {
-    sim::require(c.kind == expected,
-                 "wire: routing header does not match the packet kind");
+  constexpr void uint(const auto&, int n) { bytes += n; }
+  constexpr void flag(const auto&) { bytes += 1; }
+  constexpr void pad(std::size_t n) { bytes += n; }
+  constexpr void tag(std::uint8_t) { bytes += 1; }
+  constexpr void version_kind(const auto&) { bytes += 1; }
+  constexpr void time(const auto&, int n, std::int64_t) { bytes += n; }
+  constexpr void route(const auto& r) {
+    bytes += 4 * static_cast<std::uint32_t>(r.size());
   }
-  void check_data_plane() const {
-    sim::require(is_transport(c.kind),
-                 "wire: data-plane option on a control packet");
-  }
-
-  void operator()(const std::monostate&) const { check_data_plane(); }
-
-  void operator()(const AodvRreqHeader& h) const {
-    check_kind(PacketKind::kAodvRreq);
-    w.u32(h.rreq_id);
-    w.u32(h.orig);
-    w.u32(h.dst);
-    w.u32(h.orig_seq);
-    w.u32(h.dst_seq);
-    w.u8(hop.hops);
-    w.u8(h.dst_seq_known ? 1 : 0);
-    w.pad(2);
-  }
-
-  void operator()(const AodvRrepHeader& h) const {
-    check_kind(PacketKind::kAodvRrep);
-    const std::int64_t ns = h.lifetime.nanoseconds();
-    sim::require(ns >= 0 && ns < (std::int64_t{1} << 48),
-                 "wire: AODV RREP lifetime outside the u48 wire range");
-    w.u32(h.orig);
-    w.u32(h.dst);
-    w.u32(h.dst_seq);
-    w.u8(hop.hops);
-    w.u48(static_cast<std::uint64_t>(ns));
-    w.pad(1);
-  }
-
-  void operator()(const AodvRerrHeader& h) const {
-    check_kind(PacketKind::kAodvRerr);
-    sim::require(h.unreachable.size() <= 0xff,
-                 "wire: AODV RERR entry count exceeds the u8 wire field");
-    w.u8(static_cast<std::uint8_t>(h.unreachable.size()));
-    w.pad(3);
-    for (const auto& u : h.unreachable) {
-      w.u32(u.dst);
-      w.u32(u.seq);
-    }
-  }
-
-  /// v1 invariant: a DSR RREQ's originator is the packet source (the
-  /// flood rebroadcast mutates only ttl and the record).
-  void operator()(const DsrRreqHeader& h) const {
-    check_kind(PacketKind::kDsrRreq);
-    sim::require(h.orig == c.src, "wire: DSR RREQ originator != packet source");
-    w.u32(h.rreq_id);
-    w.u32(h.target);
-    write_route(w, h.record);
-  }
-
-  /// v1 invariant: the route runs orig..target inclusive, so both
-  /// endpoints live in the route list and are not re-encoded.
-  void operator()(const DsrRrepHeader& h) const {
-    check_kind(PacketKind::kDsrRrep);
-    sim::require(h.route.size() >= 2 && h.route.front() == h.orig &&
-                     h.route.back() == h.target,
-                 "wire: DSR RREP route does not span orig..target");
-    w.u16(hop.cursor);
-    w.pad(6);
-    write_route(w, h.route);
-  }
-
-  /// v1 invariant: the notified source is the packet destination.
-  void operator()(const DsrRerrHeader& h) const {
-    check_kind(PacketKind::kDsrRerr);
-    sim::require(h.notify == c.dst, "wire: DSR RERR notify != packet dest");
-    w.u32(h.from);
-    w.u32(h.to);
-    w.u16(hop.cursor);
-    w.pad(2);
-    write_route(w, h.back_path);
-  }
-
-  void operator()(const DsrSourceRoute& h) const {
-    check_data_plane();
-    w.u8(kTagSourceRoute);
-    w.u8(h.salvaged ? 1 : 0);
-    w.u16(hop.cursor);
-    write_route(w, h.route);
-  }
-
-  void operator()(const MtsRreqHeader& h) const {
-    check_kind(PacketKind::kMtsRreq);
-    w.u32(h.bcast_id);
-    w.u32(h.orig);
-    w.u32(h.dst);
-    w.u8(hop.hops);
-    w.pad(3);
-    write_route(w, h.nodes);
-  }
-
-  void operator()(const MtsRrepHeader& h) const {
-    check_kind(PacketKind::kMtsRrep);
-    w.u32(h.rrep_id);
-    w.u32(h.orig);
-    w.u32(h.dst);
-    w.u8(h.hop_count);
-    w.pad(1);
-    w.u16(hop.cursor);
-    write_route(w, h.nodes);
-  }
-
-  /// v1 invariant: checks travel checker -> source, so the receiving
-  /// source is the packet destination (relays mutate only hops_done).
-  void operator()(const MtsCheckHeader& h) const {
-    check_kind(PacketKind::kMtsCheck);
-    sim::require(h.source == c.dst, "wire: MTS check source != packet dest");
-    w.u32(h.check_id);
-    w.u16(h.path_id);
-    w.u8(h.hop_count);
-    w.pad(1);
-    w.u32(h.checker);
-    w.u16(hop.cursor);
-    w.pad(2);
-    write_route(w, h.nodes);
-  }
-
-  /// v1 invariant: a check error travels reporter -> checker.
-  void operator()(const MtsCheckErrorHeader& h) const {
-    check_kind(PacketKind::kMtsCheckError);
-    sim::require(h.checker == c.dst && h.reporter == c.src,
-                 "wire: MTS check error endpoints != packet src/dest");
-    w.u16(h.path_id);
-    w.u32(h.flow_source);
-    w.u32(h.broken_from);
-    w.u32(h.broken_to);
-    w.u16(hop.cursor);
-    write_route(w, h.nodes);
-  }
-
-  /// v1 invariant: the informed source is the packet destination.
-  void operator()(const MtsRerrHeader& h) const {
-    check_kind(PacketKind::kMtsRerr);
-    sim::require(h.source == c.dst, "wire: MTS RERR source != packet dest");
-    w.u32(h.dst);
-    w.u16(h.path_id);
-    w.u32(h.broken_from);
-    w.u32(h.broken_to);
-    w.pad(2);
-  }
-
-  void operator()(const MtsDataTag& h) const {
-    check_data_plane();
-    w.u8(kTagMtsData);
-    w.pad(1);
-    w.u16(h.path_id);
-  }
-
-  void operator()(const MtsProbeHeader& h) const {
-    check_data_plane();
-    w.u8(kTagMtsProbe);
-    w.u8(h.echo ? 1 : 0);
-    w.u16(h.path_id);
-    w.u32(h.probe_id);
-  }
+  constexpr void count(const auto&) { bytes += 1; }
+  constexpr void implied(const auto&, const auto&) {}
+  constexpr bool expect(bool, const char*) { return false; }
 };
 
 // ---------------------------------------------------------------------------
-// Decoders.  Every path returns false on malformed input; nothing
-// require()s on untrusted bytes.
+// The layouts, one per header, in wire order.  `h` and `hop` are const
+// for the Writer and Sizer and filled in by the Reader; per-hop fields
+// (hop counts, route cursors) live in the `HopState` cell, not the header
+// structs.  Fields the common header (or the route) already carries are
+// `implied`: not re-encoded, required by the Writer, filled in by the
+// Reader.
 // ---------------------------------------------------------------------------
 
-bool decode_common(Reader& r, CommonHeader& c, HopState& hop) {
-  const std::uint8_t b0 = r.u8();
-  if ((b0 >> 4) != kWireVersion) return false;
-  const std::uint8_t kind = b0 & 0x0f;
-  if (kind > static_cast<std::uint8_t>(PacketKind::kMtsRerr)) return false;
-  c.kind = static_cast<PacketKind>(kind);
-  hop.ttl = r.u8();
-  c.payload_bytes = r.u16();
-  c.src = r.u32();
-  c.dst = r.u32();
-  c.uid = r.u32();
-  c.originated = sim::Time::us(r.u32());
-  return r.ok();
+template <class T, class H>
+concept Is = std::same_as<std::remove_const_t<T>, H>;
+
+/// IPv4-sized: byte 0 packs the wire version and the packet kind.
+constexpr void layout(auto& io, Is<CommonHeader> auto& c, auto& hop) {
+  io.version_kind(c.kind);
+  io.u8(hop.ttl);
+  io.u16(c.payload_bytes);
+  io.u32(c.src);
+  io.u32(c.dst);
+  io.u32(c.uid);
+  io.time(c.originated, 4, kNsPerUs);  // lossy: floored to microseconds
 }
 
-bool decode_tcp(Reader& r, std::size_t avail, TcpHeader& t) {
-  if (avail < kTcpHeaderBytes) return false;
-  if (r.u8() != kTagTcp) return false;
-  t.retransmit = (r.flags(0x01) & 0x01) != 0;
-  t.flow_id = r.u16();
-  t.seq = r.u32();
-  t.ack = r.u32();
-  t.ts = sim::Time::ns(static_cast<std::int64_t>(r.u64()));
-  return r.ok();
+/// Fronted by its own tag, so a data packet's section is self-describing.
+constexpr void layout(auto& io, Is<TcpHeader> auto& t) {
+  io.tag(kTagTcp);
+  io.flag(t.retransmit);
+  io.u16(t.flow_id);
+  io.u32(t.seq);
+  io.u32(t.ack);
+  io.time(t.ts, 8, 1);
 }
 
-/// Reads the remaining `avail` bytes of the section as a route list; the
-/// count is implicit in the section length, DSR-option style.
-bool read_route(Reader& r, std::size_t avail, RouteVec& out) {
-  if (avail % kPerAddressBytes != 0) return false;
-  const std::size_t n = avail / kPerAddressBytes;
-  out.clear();
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(r.u32());
-  return r.ok();
+constexpr void layout(auto&, Is<std::monostate> auto&, auto&,
+                      const CommonHeader&) {}
+
+constexpr void layout(auto& io, Is<AodvRreqHeader> auto& h, auto& hop,
+                      const CommonHeader&) {
+  io.u32(h.rreq_id);
+  io.u32(h.orig);
+  io.u32(h.dst);
+  io.u32(h.orig_seq);
+  io.u32(h.dst_seq);
+  io.u8(hop.hops);
+  io.flag(h.dst_seq_known);
+  io.pad(2);
 }
 
-/// Decodes the routing section of a control packet: the kind determines
-/// the alternative, and the section runs to `section_end`.
-bool decode_control(Reader& r, std::size_t section_end, const CommonHeader& c,
-                    RoutingHeader& out, HopState& hop) {
-  const std::size_t avail = section_end - r.offset();
-  switch (c.kind) {
-    case PacketKind::kAodvRreq: {
-      if (avail != kAodvRreqBytes) return false;
-      AodvRreqHeader h;
-      h.rreq_id = r.u32();
-      h.orig = r.u32();
-      h.dst = r.u32();
-      h.orig_seq = r.u32();
-      h.dst_seq = r.u32();
-      hop.hops = r.u8();
-      h.dst_seq_known = (r.flags(0x01) & 0x01) != 0;
-      r.pad(2);
-      out = h;
-      return r.ok();
-    }
-    case PacketKind::kAodvRrep: {
-      if (avail != kAodvRrepBytes) return false;
-      AodvRrepHeader h;
-      h.orig = r.u32();
-      h.dst = r.u32();
-      h.dst_seq = r.u32();
-      hop.hops = r.u8();
-      h.lifetime = sim::Time::ns(static_cast<std::int64_t>(r.u48()));
-      r.pad(1);
-      out = h;
-      return r.ok();
-    }
-    case PacketKind::kAodvRerr: {
-      if (avail < kAodvRerrFixed) return false;
-      AodvRerrHeader h;
-      const std::uint8_t count = r.u8();
-      r.pad(3);
-      if (avail != kAodvRerrFixed + std::size_t{count} * kAodvRerrPerEntry)
-        return false;
-      for (std::uint8_t i = 0; i < count; ++i) {
-        AodvRerrHeader::Unreachable u;
-        u.dst = r.u32();
-        u.seq = r.u32();
-        h.unreachable.push_back(u);
-      }
-      out = h;
-      return r.ok();
-    }
-    case PacketKind::kDsrRreq: {
-      if (avail < kDsrRreqFixed) return false;
-      DsrRreqHeader h;
-      h.rreq_id = r.u32();
-      h.target = r.u32();
-      h.orig = c.src;  // v1: not re-encoded, carried by the common header
-      if (!read_route(r, avail - kDsrRreqFixed, h.record)) return false;
-      out = h;
-      return r.ok();
-    }
-    case PacketKind::kDsrRrep: {
-      if (avail < kDsrRrepFixed) return false;
-      DsrRrepHeader h;
-      hop.cursor = r.u16();
-      r.pad(6);
-      if (!read_route(r, avail - kDsrRrepFixed, h.route)) return false;
-      if (h.route.size() < 2) return false;  // must span orig..target
-      h.orig = h.route.front();
-      h.target = h.route.back();
-      out = h;
-      return r.ok();
-    }
-    case PacketKind::kDsrRerr: {
-      if (avail < kDsrRerrFixed) return false;
-      DsrRerrHeader h;
-      h.from = r.u32();
-      h.to = r.u32();
-      hop.cursor = r.u16();
-      r.pad(2);
-      h.notify = c.dst;  // v1: the RERR travels to the notified source
-      if (!read_route(r, avail - kDsrRerrFixed, h.back_path)) return false;
-      out = h;
-      return r.ok();
-    }
-    case PacketKind::kMtsRreq: {
-      if (avail < kMtsListFixed) return false;
-      MtsRreqHeader h;
-      h.bcast_id = r.u32();
-      h.orig = r.u32();
-      h.dst = r.u32();
-      hop.hops = r.u8();
-      r.pad(3);
-      if (!read_route(r, avail - kMtsListFixed, h.nodes)) return false;
-      out = h;
-      return r.ok();
-    }
-    case PacketKind::kMtsRrep: {
-      if (avail < kMtsListFixed) return false;
-      MtsRrepHeader h;
-      h.rrep_id = r.u32();
-      h.orig = r.u32();
-      h.dst = r.u32();
-      h.hop_count = r.u8();
-      r.pad(1);
-      hop.cursor = r.u16();
-      if (!read_route(r, avail - kMtsListFixed, h.nodes)) return false;
-      out = h;
-      return r.ok();
-    }
-    case PacketKind::kMtsCheck: {
-      if (avail < kMtsListFixed) return false;
-      MtsCheckHeader h;
-      h.check_id = r.u32();
-      h.path_id = r.u16();
-      h.hop_count = r.u8();
-      r.pad(1);
-      h.checker = r.u32();
-      hop.cursor = r.u16();
-      r.pad(2);
-      h.source = c.dst;  // v1: checks travel checker -> source
-      if (!read_route(r, avail - kMtsListFixed, h.nodes)) return false;
-      out = h;
-      return r.ok();
-    }
-    case PacketKind::kMtsCheckError: {
-      if (avail < kMtsListFixed) return false;
-      MtsCheckErrorHeader h;
-      h.path_id = r.u16();
-      h.flow_source = r.u32();
-      h.broken_from = r.u32();
-      h.broken_to = r.u32();
-      hop.cursor = r.u16();
-      h.reporter = c.src;  // v1: travels reporter -> checker
-      h.checker = c.dst;
-      if (!read_route(r, avail - kMtsListFixed, h.nodes)) return false;
-      out = h;
-      return r.ok();
-    }
-    case PacketKind::kMtsRerr: {
-      if (avail != kMtsRerrBytes) return false;
-      MtsRerrHeader h;
-      h.dst = r.u32();
-      h.path_id = r.u16();
-      h.broken_from = r.u32();
-      h.broken_to = r.u32();
-      r.pad(2);
-      h.source = c.dst;  // v1: the RERR travels to the informed source
-      out = h;
-      return r.ok();
-    }
-    case PacketKind::kTcpData:
-    case PacketKind::kTcpAck:
-      return false;  // transport kinds use the tagged option section
-  }
-  return false;
+constexpr void layout(auto& io, Is<AodvRrepHeader> auto& h, auto& hop,
+                      const CommonHeader&) {
+  io.u32(h.orig);
+  io.u32(h.dst);
+  io.u32(h.dst_seq);
+  io.u8(hop.hops);
+  io.time(h.lifetime, 6, 1);
+  io.pad(1);
 }
 
-/// Decodes the tagged data-plane option of a transport packet.  Every
-/// option is terminal (the section length sizes its route list), so the
-/// option must end exactly at `section_end`.
-bool decode_data_option(Reader& r, std::size_t section_end,
-                        RoutingHeader& out, HopState& hop) {
-  const std::size_t avail = section_end - r.offset();
-  switch (r.peek()) {
-    case kTagSourceRoute: {
-      if (avail < kSourceRouteFixed) return false;
-      DsrSourceRoute h;
-      r.u8();  // tag
-      h.salvaged = (r.flags(0x01) & 0x01) != 0;
-      hop.cursor = r.u16();
-      if (!read_route(r, avail - kSourceRouteFixed, h.route)) return false;
-      out = h;
-      return r.ok();
-    }
-    case kTagMtsData: {
-      if (avail != kMtsDataTagBytes) return false;
-      MtsDataTag h;
-      r.u8();  // tag
-      r.pad(1);
-      h.path_id = r.u16();
-      out = h;
-      return r.ok();
-    }
-    case kTagMtsProbe: {
-      if (avail != kMtsProbeBytes) return false;
-      MtsProbeHeader h;
-      r.u8();  // tag
-      h.echo = (r.flags(0x01) & 0x01) != 0;
-      h.path_id = r.u16();
-      h.probe_id = r.u32();
-      out = h;
-      return r.ok();
-    }
-    default:
-      return false;
+constexpr void layout(auto& io, Is<AodvRerrHeader> auto& h, auto&,
+                      const CommonHeader&) {
+  io.count(h.unreachable);
+  io.pad(3);
+  for (auto& u : h.unreachable) {
+    io.u32(u.dst);
+    io.u32(u.seq);
   }
 }
 
-struct SizeVisitor {
-  std::uint32_t operator()(const std::monostate&) const { return 0; }
-  std::uint32_t operator()(const AodvRreqHeader&) const {
-    return kAodvRreqBytes;
+/// The flood rebroadcast mutates only ttl and the record, so the
+/// originator is the packet source.
+constexpr void layout(auto& io, Is<DsrRreqHeader> auto& h, auto&,
+                      const CommonHeader& c) {
+  io.implied(h.orig, c.src);
+  io.u32(h.rreq_id);
+  io.u32(h.target);
+  io.route(h.record);
+}
+
+/// The route runs orig..target inclusive, so both endpoints are implied
+/// by it.
+constexpr void layout(auto& io, Is<DsrRrepHeader> auto& h, auto& hop,
+                      const CommonHeader&) {
+  io.u16(hop.cursor);
+  io.pad(6);
+  io.route(h.route);
+  if (io.expect(h.route.size() >= 2,
+                "wire: DSR RREP route does not span orig..target")) {
+    io.implied(h.orig, h.route.front());
+    io.implied(h.target, h.route.back());
   }
-  std::uint32_t operator()(const AodvRrepHeader&) const {
-    return kAodvRrepBytes;
-  }
-  std::uint32_t operator()(const AodvRerrHeader& h) const {
-    return kAodvRerrFixed +
-           static_cast<std::uint32_t>(h.unreachable.size()) * kAodvRerrPerEntry;
-  }
-  std::uint32_t operator()(const DsrRreqHeader& h) const {
-    return kDsrRreqFixed + route_bytes(h.record.size());
-  }
-  std::uint32_t operator()(const DsrRrepHeader& h) const {
-    return kDsrRrepFixed + route_bytes(h.route.size());
-  }
-  std::uint32_t operator()(const DsrRerrHeader& h) const {
-    return kDsrRerrFixed + route_bytes(h.back_path.size());
-  }
-  std::uint32_t operator()(const DsrSourceRoute& h) const {
-    return kSourceRouteFixed + route_bytes(h.route.size());
-  }
-  std::uint32_t operator()(const MtsRreqHeader& h) const {
-    return kMtsListFixed + route_bytes(h.nodes.size());
-  }
-  std::uint32_t operator()(const MtsRrepHeader& h) const {
-    return kMtsListFixed + route_bytes(h.nodes.size());
-  }
-  std::uint32_t operator()(const MtsCheckHeader& h) const {
-    return kMtsListFixed + route_bytes(h.nodes.size());
-  }
-  std::uint32_t operator()(const MtsCheckErrorHeader& h) const {
-    return kMtsListFixed + route_bytes(h.nodes.size());
-  }
-  std::uint32_t operator()(const MtsRerrHeader&) const { return kMtsRerrBytes; }
-  std::uint32_t operator()(const MtsDataTag&) const { return kMtsDataTagBytes; }
-  /// Probe option: path id + probe id + flags.  Deliberately the same
-  /// order of magnitude as the data tag — a probe should not stand out
-  /// from the data plane it hides in.
-  std::uint32_t operator()(const MtsProbeHeader&) const {
-    return kMtsProbeBytes;
-  }
+}
+
+/// The RERR travels to the notified source.
+constexpr void layout(auto& io, Is<DsrRerrHeader> auto& h, auto& hop,
+                      const CommonHeader& c) {
+  io.implied(h.notify, c.dst);
+  io.u32(h.from);
+  io.u32(h.to);
+  io.u16(hop.cursor);
+  io.pad(2);
+  io.route(h.back_path);
+}
+
+constexpr void layout(auto& io, Is<DsrSourceRoute> auto& h, auto& hop,
+                      const CommonHeader&) {
+  io.flag(h.salvaged);
+  io.u16(hop.cursor);
+  io.route(h.route);
+}
+
+constexpr void layout(auto& io, Is<MtsRreqHeader> auto& h, auto& hop,
+                      const CommonHeader&) {
+  io.u32(h.bcast_id);
+  io.u32(h.orig);
+  io.u32(h.dst);
+  io.u8(hop.hops);
+  io.pad(3);
+  io.route(h.nodes);
+}
+
+constexpr void layout(auto& io, Is<MtsRrepHeader> auto& h, auto& hop,
+                      const CommonHeader&) {
+  io.u32(h.rrep_id);
+  io.u32(h.orig);
+  io.u32(h.dst);
+  io.u8(h.hop_count);
+  io.pad(1);
+  io.u16(hop.cursor);
+  io.route(h.nodes);
+}
+
+/// Checks travel checker -> source, so the receiving source is the
+/// packet destination (relays mutate only the cursor).
+constexpr void layout(auto& io, Is<MtsCheckHeader> auto& h, auto& hop,
+                      const CommonHeader& c) {
+  io.implied(h.source, c.dst);
+  io.u32(h.check_id);
+  io.u16(h.path_id);
+  io.u8(h.hop_count);
+  io.pad(1);
+  io.u32(h.checker);
+  io.u16(hop.cursor);
+  io.pad(2);
+  io.route(h.nodes);
+}
+
+/// A check error travels reporter -> checker.
+constexpr void layout(auto& io, Is<MtsCheckErrorHeader> auto& h, auto& hop,
+                      const CommonHeader& c) {
+  io.implied(h.checker, c.dst);
+  io.implied(h.reporter, c.src);
+  io.u16(h.path_id);
+  io.u32(h.flow_source);
+  io.u32(h.broken_from);
+  io.u32(h.broken_to);
+  io.u16(hop.cursor);
+  io.route(h.nodes);
+}
+
+/// The RERR travels to the informed source.
+constexpr void layout(auto& io, Is<MtsRerrHeader> auto& h, auto&,
+                      const CommonHeader& c) {
+  io.implied(h.source, c.dst);
+  io.u32(h.dst);
+  io.u16(h.path_id);
+  io.u32(h.broken_from);
+  io.u32(h.broken_to);
+  io.pad(2);
+}
+
+constexpr void layout(auto& io, Is<MtsDataTag> auto& h, auto&,
+                      const CommonHeader&) {
+  io.pad(1);
+  io.u16(h.path_id);
+}
+
+/// The same order of magnitude as the data tag: a probe should not stand
+/// out from the data plane it hides in.
+constexpr void layout(auto& io, Is<MtsProbeHeader> auto& h, auto&,
+                      const CommonHeader&) {
+  io.flag(h.echo);
+  io.u16(h.path_id);
+  io.u32(h.probe_id);
+}
+
+/// The sizes airtime accounting quotes for the fixed headers.
+constexpr std::uint32_t size_of(const auto&... header) {
+  Sizer s;
+  layout(s, header...);
+  return s.bytes;
+}
+static_assert(size_of(CommonHeader{}, HopState{}) == kCommonHeaderBytes);
+static_assert(size_of(TcpHeader{}) == kTcpHeaderBytes);
+
+// ---------------------------------------------------------------------------
+// How the wire names each routing alternative: the one map from packet
+// kind / option tag to variant alternative.  Control headers are named by
+// the packet kind (no tag byte); a data packet's kind does not determine
+// its option, so data-plane options carry a leading tag byte; the bare
+// transport segment (monostate) carries no option at all.
+// ---------------------------------------------------------------------------
+
+struct WireName {
+  enum By : std::uint8_t { kNothing, kKind, kTag } by = kNothing;
+  std::uint8_t id = 0;
+  friend constexpr bool operator==(WireName, WireName) = default;
 };
+
+constexpr WireName by_kind(PacketKind k) {
+  return {WireName::kKind, static_cast<std::uint8_t>(k)};
+}
+constexpr WireName by_tag(std::uint8_t t) { return {WireName::kTag, t}; }
+
+template <class H>
+constexpr WireName kNameOf{};  // std::monostate
+template <>
+constexpr WireName kNameOf<AodvRreqHeader> = by_kind(PacketKind::kAodvRreq);
+template <>
+constexpr WireName kNameOf<AodvRrepHeader> = by_kind(PacketKind::kAodvRrep);
+template <>
+constexpr WireName kNameOf<AodvRerrHeader> = by_kind(PacketKind::kAodvRerr);
+template <>
+constexpr WireName kNameOf<DsrRreqHeader> = by_kind(PacketKind::kDsrRreq);
+template <>
+constexpr WireName kNameOf<DsrRrepHeader> = by_kind(PacketKind::kDsrRrep);
+template <>
+constexpr WireName kNameOf<DsrRerrHeader> = by_kind(PacketKind::kDsrRerr);
+template <>
+constexpr WireName kNameOf<DsrSourceRoute> = by_tag(kTagSourceRoute);
+template <>
+constexpr WireName kNameOf<MtsRreqHeader> = by_kind(PacketKind::kMtsRreq);
+template <>
+constexpr WireName kNameOf<MtsRrepHeader> = by_kind(PacketKind::kMtsRrep);
+template <>
+constexpr WireName kNameOf<MtsCheckHeader> = by_kind(PacketKind::kMtsCheck);
+template <>
+constexpr WireName kNameOf<MtsCheckErrorHeader> =
+    by_kind(PacketKind::kMtsCheckError);
+template <>
+constexpr WireName kNameOf<MtsRerrHeader> = by_kind(PacketKind::kMtsRerr);
+template <>
+constexpr WireName kNameOf<MtsDataTag> = by_tag(kTagMtsData);
+template <>
+constexpr WireName kNameOf<MtsProbeHeader> = by_tag(kTagMtsProbe);
+
+/// A routing alternative on the wire: its tag byte, if it has one, then
+/// its layout.
+template <class H>
+constexpr void option(auto& io, H& h, auto& hop, const CommonHeader& c) {
+  if constexpr (kNameOf<std::remove_const_t<H>>.by == WireName::kTag) {
+    io.tag(kNameOf<std::remove_const_t<H>>.id);
+  }
+  layout(io, h, hop, c);
+}
+
+/// Decodes the alternative the wire calls `name` into `out`; false when
+/// no alternative has that name.
+template <std::size_t... I>
+bool read_option(Reader& r, WireName name, RoutingHeader& out, HopState& hop,
+                 const CommonHeader& c, std::index_sequence<I...>) {
+  const auto read = [&](auto& h) {
+    option(r, h, hop, c);
+    return true;
+  };
+  return (
+      (kNameOf<std::variant_alternative_t<I, RoutingHeader>> == name &&
+       read(out.emplace<I>())) ||
+      ...);
+}
 
 }  // namespace
-
-std::uint32_t routing_wire_size(const RoutingHeader& h) {
-  return std::visit(SizeVisitor{}, h);
-}
 
 void encode_headers(const CommonHeader& common, const TcpHeader* tcp,
                     const RoutingHeader& routing,
                     std::vector<std::uint8_t>& out, const HopState& hop) {
   Writer w(out);
-  encode_common(w, common, hop);
-  sim::require(w.written() == kCommonHeaderBytes,
-               "wire: common header layout drifted from kCommonHeaderBytes");
+  layout(w, common, hop);
   if (tcp != nullptr) {
     sim::require(is_transport(common.kind),
                  "wire: TCP header on a control packet");
-    const std::size_t before = w.written();
-    encode_tcp(w, *tcp);
-    sim::require(w.written() - before == kTcpHeaderBytes,
-                 "wire: TCP header layout drifted from kTcpHeaderBytes");
+    layout(w, *tcp);
   }
-  const std::size_t before = w.written();
-  std::visit(EncodeVisitor{w, common, hop}, routing);
-  sim::require(w.written() - before == routing_wire_size(routing),
-               "wire: routing encoder disagrees with the size law");
+  std::visit(
+      [&](const auto& h) {
+        constexpr WireName name = kNameOf<std::decay_t<decltype(h)>>;
+        if constexpr (name.by == WireName::kKind) {
+          sim::require(common.kind == static_cast<PacketKind>(name.id),
+                       "wire: routing header does not match the packet kind");
+        } else {
+          sim::require(is_transport(common.kind),
+                       "wire: data-plane option on a control packet");
+        }
+        option(w, h, hop, common);
+      },
+      routing);
 }
 
 void encode_headers(const Packet& p, std::vector<std::uint8_t>& out) {
@@ -662,31 +490,28 @@ void encode_packet(const Packet& p, std::vector<std::uint8_t>& out,
 
 std::optional<DecodedPacket> decode_packet(const std::uint8_t* data,
                                            std::size_t len) {
-  Reader r(data, len);
   DecodedPacket d;
-  if (!decode_common(r, d.common, d.hop)) return std::nullopt;
+  Reader head(data, std::min<std::size_t>(len, kCommonHeaderBytes));
+  layout(head, d.common, d.hop);
   d.payload_bytes = d.common.payload_bytes;
-  if (len < kCommonHeaderBytes + std::size_t{d.payload_bytes})
+  if (!head.ok() || len < kCommonHeaderBytes + std::size_t{d.payload_bytes})
     return std::nullopt;
   // Payload sits last; everything between the common header and it is
-  // the routing/option section.
-  const std::size_t section_end = len - d.payload_bytes;
-  d.payload_offset = section_end;
+  // the routing/option section, and it must be consumed exactly.
+  d.payload_offset = len - d.payload_bytes;
+  Reader r(data + kCommonHeaderBytes, d.payload_offset - kCommonHeaderBytes);
+  constexpr auto kAlternatives =
+      std::make_index_sequence<std::variant_size_v<RoutingHeader>>{};
   if (is_transport(d.common.kind)) {
-    if (r.offset() < section_end && r.peek() == kTagTcp) {
-      TcpHeader t;
-      if (!decode_tcp(r, section_end - r.offset(), t)) return std::nullopt;
-      d.tcp = t;
-    }
-    if (r.offset() < section_end) {
-      if (!decode_data_option(r, section_end, d.routing, d.hop))
-        return std::nullopt;
-    }
-  } else {
-    if (!decode_control(r, section_end, d.common, d.routing, d.hop))
+    if (r.left() != 0 && r.peek() == kTagTcp) layout(r, d.tcp.emplace());
+    if (r.left() != 0 && !read_option(r, by_tag(r.peek()), d.routing, d.hop,
+                                      d.common, kAlternatives))
       return std::nullopt;
+  } else if (!read_option(r, by_kind(d.common.kind), d.routing, d.hop,
+                          d.common, kAlternatives)) {
+    return std::nullopt;
   }
-  if (!r.ok() || r.offset() != section_end) return std::nullopt;
+  if (!r.ok() || r.left() != 0) return std::nullopt;
   return d;
 }
 
@@ -695,3 +520,18 @@ std::optional<DecodedPacket> decode_packet(const std::vector<std::uint8_t>& buf)
 }
 
 }  // namespace mts::net::wire
+
+namespace mts::net {
+
+std::uint32_t routing_header_bytes(const RoutingHeader& h) {
+  return std::visit(
+      [](const auto& alt) {
+        wire::Sizer s;
+        const HopState hop{};
+        wire::option(s, alt, hop, CommonHeader{});
+        return s.bytes;
+      },
+      h);
+}
+
+}  // namespace mts::net

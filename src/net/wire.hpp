@@ -9,13 +9,11 @@
 /// Wire-format codec (v1): the byte-level contract for every header the
 /// network layer can put on the air.
 ///
-/// Until this codec existed, adversaries "captured" in-memory structs and
-/// airtime accounting trusted a hand-maintained size table; nothing was
-/// ever serialized, so the two could silently drift.  The codec is now
-/// the single source of truth: `routing_wire_size` drives
-/// `routing_header_bytes` (and therefore every airtime/overhead number),
-/// and `encode_*` verifies at runtime that it wrote exactly that many
-/// bytes — the size law and the byte layout cannot disagree.
+/// Each header's byte layout is written once, in wire.cpp, as a field
+/// walk that drives the encoder, the decoder and the size law alike: the
+/// three cannot drift apart.  The size law is `net::routing_header_bytes`
+/// (declared in headers.hpp), so every airtime and overhead number is
+/// the size of the bytes the codec writes.
 ///
 /// Layout conventions (see docs/architecture/wire-format.md for the full
 /// byte maps):
@@ -25,13 +23,14 @@
 ///  - Control headers are discriminated by the packet kind; data-plane
 ///    options (source route, MTS data tag, MTS probe, TCP) carry a
 ///    one-byte tag because a data packet's kind does not determine them.
-///  - List lengths (route records, RERR entries) are derived from the
-///    section length, the way DSR options work, so a 4-byte-per-address
-///    list costs exactly 4 bytes per address on the wire.
-///  - Some fields are not re-encoded because the common header already
-///    carries them (e.g. a DSR RREQ's originator IS the packet source);
-///    `encode_*` requires those invariants and `decode_*` reconstitutes
-///    the struct fields from the common header.
+///  - List lengths (route records) are derived from the section length,
+///    the way DSR options work, so a 4-byte-per-address list costs
+///    exactly 4 bytes per address on the wire; the AODV RERR list is
+///    count-prefixed, and the count must match the section length.
+///  - Some fields are not re-encoded because the common header (or the
+///    carried route) already holds them, e.g. a DSR RREQ's originator IS
+///    the packet source; `encode_*` requires those invariants and
+///    `decode_packet` fills the struct fields in from what implies them.
 ///
 /// Round-trip contract: for every packet the simulator can emit,
 /// `decode(encode(p))` reproduces the headers exactly — except
@@ -52,11 +51,6 @@ inline constexpr std::uint8_t kTagSourceRoute = 0x01;
 inline constexpr std::uint8_t kTagMtsData = 0x02;
 inline constexpr std::uint8_t kTagMtsProbe = 0x03;
 inline constexpr std::uint8_t kTagTcp = 0x10;
-
-/// On-wire size of a routing header/option in bytes.  This is the size
-/// law `routing_header_bytes` delegates to; `encode_headers` verifies it
-/// against the bytes actually written.
-[[nodiscard]] std::uint32_t routing_wire_size(const RoutingHeader& h);
 
 /// Appends the wire encoding of all headers (common + TCP option +
 /// routing option, no payload) to `out`.  `hop` supplies the per-hop

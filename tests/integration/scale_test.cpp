@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "harness/scenario.hpp"
 
@@ -76,15 +77,38 @@ constexpr Fingerprint kPinned50[] = {
     {Protocol::kSmr, 391419, 282, 457, 201},
 };
 
+// The spatial index is a pure accelerator: with it off, every receiver
+// candidate is found by brute force, and the pins must hold both ways.
 TEST(ScaleTest, FiftyNodeFingerprintsMatchTheBenchBaseline) {
   for (const Fingerprint& fp : kPinned50) {
-    const RunMetrics m = run_scenario(bench_like(fp.protocol));
-    EXPECT_EQ(m.events_executed, fp.events) << protocol_name(fp.protocol);
-    EXPECT_EQ(m.segments_delivered, fp.delivered) << protocol_name(fp.protocol);
-    EXPECT_EQ(m.control_packets, fp.control) << protocol_name(fp.protocol);
-    EXPECT_EQ(m.pe, fp.pe) << protocol_name(fp.protocol);
-    EXPECT_EQ(m.pr, m.segments_delivered) << protocol_name(fp.protocol);
+    for (const bool index : {true, false}) {
+      ScenarioConfig cfg = bench_like(fp.protocol);
+      cfg.channel.use_spatial_index = index;
+      const RunMetrics m = run_scenario(cfg);
+      const std::string what = std::string(protocol_name(fp.protocol)) +
+                               (index ? " indexed" : " brute force");
+      EXPECT_EQ(m.events_executed, fp.events) << what;
+      EXPECT_EQ(m.segments_delivered, fp.delivered) << what;
+      EXPECT_EQ(m.control_packets, fp.control) << what;
+      EXPECT_EQ(m.pe, fp.pe) << what;
+      EXPECT_EQ(m.pr, m.segments_delivered) << what;
+    }
   }
+}
+
+// The same oracle where many grid cells are actually exercised: a
+// 2000-node arena replays identically with the index off and on.
+TEST(ScaleTest, TwoThousandNodeArenaIsIndexIndependent) {
+  ScenarioConfig cfg = large_arena();
+  cfg.sim_time = sim::Time::sec(5);
+  const RunMetrics indexed = run_scenario(cfg);
+  cfg.channel.use_spatial_index = false;
+  const RunMetrics brute = run_scenario(cfg);
+  EXPECT_GT(indexed.segments_delivered, 0u);
+  EXPECT_EQ(brute.events_executed, indexed.events_executed);
+  EXPECT_EQ(brute.segments_delivered, indexed.segments_delivered);
+  EXPECT_EQ(brute.control_packets, indexed.control_packets);
+  EXPECT_EQ(brute.pe, indexed.pe);
 }
 
 TEST(ScaleTest, MobilityHistoryIsPrunedAndBoundedInAChurnyRun) {

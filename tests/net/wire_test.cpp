@@ -1,14 +1,21 @@
 // The wire codec's contract: (1) the derived size law reproduces the
 // legacy hand-maintained table for every packet kind, (2) randomized
 // round trips are exact — decode(encode(p)) == p and
-// encode(decode(buf)) == buf — and (3) malformed buffers (truncation,
-// corruption, bad versions, nonzero padding, unknown tags) are rejected
-// rather than guessed at.
+// encode(decode(buf)) == buf — and every alternative keeps its pinned
+// v1 bytes, and (3) malformed buffers (truncation, corruption, bad
+// versions, nonzero padding, unknown tags, lying length fields) are
+// rejected rather than guessed at, which a mutation fuzz test checks
+// beyond the hand-written cases.
 #include "net/wire.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <variant>
 #include <vector>
 
 #include "net/headers.hpp"
@@ -264,50 +271,40 @@ std::vector<std::uint8_t> encode_sample(const Sample& s) {
 TEST(WireSizeTest, SizeLawPinsTheLegacyTable) {
   // The exact values the retired hand-maintained table carried; airtime
   // accounting (and every fingerprint) depends on these staying fixed.
-  EXPECT_EQ(routing_wire_size(RoutingHeader{std::monostate{}}), 0u);
-  EXPECT_EQ(routing_wire_size(RoutingHeader{AodvRreqHeader{}}), 24u);
-  EXPECT_EQ(routing_wire_size(RoutingHeader{AodvRrepHeader{}}), 20u);
+  EXPECT_EQ(routing_header_bytes(RoutingHeader{std::monostate{}}), 0u);
+  EXPECT_EQ(routing_header_bytes(RoutingHeader{AodvRreqHeader{}}), 24u);
+  EXPECT_EQ(routing_header_bytes(RoutingHeader{AodvRrepHeader{}}), 20u);
   AodvRerrHeader rerr;
   rerr.unreachable.push_back({1, 2});
   rerr.unreachable.push_back({3, 4});
-  EXPECT_EQ(routing_wire_size(RoutingHeader{rerr}), 4u + 2 * 8u);
+  EXPECT_EQ(routing_header_bytes(RoutingHeader{rerr}), 4u + 2 * 8u);
   DsrRreqHeader dreq;
   dreq.record = {1, 2, 3};
-  EXPECT_EQ(routing_wire_size(RoutingHeader{dreq}), 8u + 3 * 4u);
+  EXPECT_EQ(routing_header_bytes(RoutingHeader{dreq}), 8u + 3 * 4u);
   DsrRrepHeader drep;
   drep.route = {1, 2};
-  EXPECT_EQ(routing_wire_size(RoutingHeader{drep}), 8u + 2 * 4u);
+  EXPECT_EQ(routing_header_bytes(RoutingHeader{drep}), 8u + 2 * 4u);
   DsrRerrHeader derr;
   derr.back_path = {7};
-  EXPECT_EQ(routing_wire_size(RoutingHeader{derr}), 12u + 4u);
+  EXPECT_EQ(routing_header_bytes(RoutingHeader{derr}), 12u + 4u);
   DsrSourceRoute sr;
   sr.route = {1, 2, 3, 4};
-  EXPECT_EQ(routing_wire_size(RoutingHeader{sr}), 4u + 4 * 4u);
+  EXPECT_EQ(routing_header_bytes(RoutingHeader{sr}), 4u + 4 * 4u);
   MtsRreqHeader mreq;
   mreq.nodes = {1, 2, 3};
-  EXPECT_EQ(routing_wire_size(RoutingHeader{mreq}), 16u + 3 * 4u);
+  EXPECT_EQ(routing_header_bytes(RoutingHeader{mreq}), 16u + 3 * 4u);
   MtsRrepHeader mrep;
   mrep.nodes = {1};
-  EXPECT_EQ(routing_wire_size(RoutingHeader{mrep}), 16u + 4u);
+  EXPECT_EQ(routing_header_bytes(RoutingHeader{mrep}), 16u + 4u);
   MtsCheckHeader chk;
   chk.nodes = {1, 2};
-  EXPECT_EQ(routing_wire_size(RoutingHeader{chk}), 16u + 2 * 4u);
+  EXPECT_EQ(routing_header_bytes(RoutingHeader{chk}), 16u + 2 * 4u);
   MtsCheckErrorHeader cerr;
   cerr.nodes = {1, 2, 3, 4};
-  EXPECT_EQ(routing_wire_size(RoutingHeader{cerr}), 16u + 4 * 4u);
-  EXPECT_EQ(routing_wire_size(RoutingHeader{MtsRerrHeader{}}), 16u);
-  EXPECT_EQ(routing_wire_size(RoutingHeader{MtsDataTag{}}), 4u);
-  EXPECT_EQ(routing_wire_size(RoutingHeader{MtsProbeHeader{}}), 8u);
-}
-
-TEST(WireSizeTest, LegacyEntryPointDelegatesToTheCodec) {
-  sim::Rng rng(2024);
-  for (int iter = 0; iter < 50; ++iter) {
-    for (std::size_t a = 0; a < kAlternatives; ++a) {
-      const Sample s = sample_for(a, rng);
-      EXPECT_EQ(routing_header_bytes(s.routing), routing_wire_size(s.routing));
-    }
-  }
+  EXPECT_EQ(routing_header_bytes(RoutingHeader{cerr}), 16u + 4 * 4u);
+  EXPECT_EQ(routing_header_bytes(RoutingHeader{MtsRerrHeader{}}), 16u);
+  EXPECT_EQ(routing_header_bytes(RoutingHeader{MtsDataTag{}}), 4u);
+  EXPECT_EQ(routing_header_bytes(RoutingHeader{MtsProbeHeader{}}), 8u);
 }
 
 TEST(WireSizeTest, EncoderWritesExactlyTheLawfulByteCount) {
@@ -319,7 +316,7 @@ TEST(WireSizeTest, EncoderWritesExactlyTheLawfulByteCount) {
       encode_headers(s.common, s.has_tcp ? &s.tcp : nullptr, s.routing, buf);
       EXPECT_EQ(buf.size(), kCommonHeaderBytes +
                                 (s.has_tcp ? kTcpHeaderBytes : 0) +
-                                routing_wire_size(s.routing));
+                                routing_header_bytes(s.routing));
     }
   }
 }
@@ -421,6 +418,261 @@ TEST(WireRoundTripTest, PayloadBytesAreCopiedAndZeroFilled) {
 }
 
 // ---------------------------------------------------------------------------
+// Golden wire images.  A layout change applied to the encoder and the
+// decoder alike still round-trips, so the tests above cannot see it;
+// these pin one fixed instance per alternative to its v1 bytes.  Every
+// field holds a distinct value, so a swapped or resized field shows.
+// ---------------------------------------------------------------------------
+
+Sample golden_sample(std::size_t alternative) {
+  Sample s;
+  s.common.src = 0x11;
+  s.common.dst = 0x22;
+  s.common.uid = 0x33343536;
+  s.common.originated = sim::Time::us(0x44454647);
+  s.hop.ttl = 0x1f;
+  // hops/cursor are set only where the kind's layout carries them, so
+  // the decoded hop cell equals this one.
+  switch (alternative) {
+    case 0:
+      s.common.kind = PacketKind::kTcpData;
+      s.common.payload_bytes = 2;
+      s.payload = {0xde, 0xad};
+      s.routing = std::monostate{};
+      break;
+    case 1:
+      s.common.kind = PacketKind::kAodvRreq;
+      s.hop.hops = 5;
+      s.routing = AodvRreqHeader{0x01020304, 0x0a, 0x0b, 0x05060708,
+                                 0x090a0b0c, true};
+      break;
+    case 2:
+      s.common.kind = PacketKind::kAodvRrep;
+      s.hop.hops = 5;
+      s.routing = AodvRrepHeader{0x0a, 0x0b, 0x0d0e0f10,
+                                 sim::Time::ns(0xa1a2a3a4a5a6LL)};
+      break;
+    case 3: {
+      s.common.kind = PacketKind::kAodvRerr;
+      AodvRerrHeader h;
+      h.unreachable.push_back({0x0c, 0x13141516});
+      h.unreachable.push_back({0x0d, 0x17181920});
+      s.routing = h;
+      break;
+    }
+    case 4:
+      s.common.kind = PacketKind::kDsrRreq;
+      s.routing = DsrRreqHeader{0x21222324, s.common.src, 0x0e, {0x31, 0x32}};
+      break;
+    case 5:
+      s.common.kind = PacketKind::kDsrRrep;
+      s.hop.cursor = 0x0607;
+      s.routing = DsrRrepHeader{0x41, 0x43, {0x41, 0x42, 0x43}};
+      break;
+    case 6:
+      s.common.kind = PacketKind::kDsrRerr;
+      s.hop.cursor = 0x0607;
+      s.routing = DsrRerrHeader{s.common.dst, 0x51, 0x52, {0x53}};
+      break;
+    case 7:
+      s.common.kind = PacketKind::kTcpData;
+      s.hop.cursor = 0x0607;
+      s.routing = DsrSourceRoute{{0x11, 0x61, 0x22}, true};
+      break;
+    case 8:
+      s.common.kind = PacketKind::kMtsRreq;
+      s.hop.hops = 5;
+      s.routing = MtsRreqHeader{0x71727374, 0x11, 0x22, {0x75, 0x76}};
+      break;
+    case 9:
+      s.common.kind = PacketKind::kMtsRrep;
+      s.hop.cursor = 0x0607;
+      s.routing = MtsRrepHeader{0x81828384, 0x11, 0x22, 3, {0x85, 0x86}};
+      break;
+    case 10:
+      s.common.kind = PacketKind::kMtsCheck;
+      s.hop.cursor = 0x0607;
+      s.routing =
+          MtsCheckHeader{0x91929394, 0x9596, 0x98, s.common.dst, 3, {0x97}};
+      break;
+    case 11:
+      s.common.kind = PacketKind::kMtsCheckError;
+      s.hop.cursor = 0x0607;
+      s.routing = MtsCheckErrorHeader{0xa1a2,       s.common.dst, 0xa3,
+                                      s.common.src, 0xa4,         0xa5,
+                                      {0xa6, 0xa7}};
+      break;
+    case 12:
+      s.common.kind = PacketKind::kMtsRerr;
+      s.routing = MtsRerrHeader{s.common.dst, 0xb1, 0xb2b3, 0xb4, 0xb5};
+      break;
+    case 13:
+      s.common.kind = PacketKind::kTcpAck;
+      s.routing = MtsDataTag{0xc1c2};
+      break;
+    case 14:
+      s.common.kind = PacketKind::kTcpData;
+      s.routing = MtsProbeHeader{0xd1d2, 0xd3d4d5d6, true};
+      break;
+    default:
+      ADD_FAILURE() << "no such alternative";
+  }
+  s.has_tcp = is_transport(s.common.kind);
+  s.tcp = TcpHeader{0xe1e2e3e4, 0xe5e6e7e8, 0xe9ea,
+                    sim::Time::ns(0x0102030405060708LL), true};
+  return s;
+}
+
+/// The v1 images of golden_sample(0..14): headers then payload.
+constexpr const char* kGoldenHex[kAlternatives] = {
+    // bare TCP segment + payload
+    "101f0002000000110000002233343536444546471001e9eae1e2e3e4e5e6e7e8"
+    "0102030405060708dead",
+    // AODV RREQ
+    "121f000000000011000000223334353644454647010203040000000a0000000b"
+    "05060708090a0b0c05010000",
+    // AODV RREP
+    "131f0000000000110000002233343536444546470000000a0000000b0d0e0f10"
+    "05a1a2a3a4a5a600",
+    // AODV RERR
+    "141f000000000011000000223334353644454647020000000000000c13141516"
+    "0000000d17181920",
+    // DSR RREQ
+    "151f000000000011000000223334353644454647212223240000000e00000031"
+    "00000032",
+    // DSR RREP
+    "161f000000000011000000223334353644454647060700000000000000000041"
+    "0000004200000043",
+    // DSR RERR
+    "171f000000000011000000223334353644454647000000510000005206070000"
+    "00000053",
+    // TCP + DSR source route
+    "101f0000000000110000002233343536444546471001e9eae1e2e3e4e5e6e7e8"
+    "010203040506070801010607000000110000006100000022",
+    // MTS RREQ
+    "181f000000000011000000223334353644454647717273740000001100000022"
+    "050000000000007500000076",
+    // MTS RREP
+    "191f000000000011000000223334353644454647818283840000001100000022"
+    "030006070000008500000086",
+    // MTS check
+    "1a1f000000000011000000223334353644454647919293949596030000000098"
+    "0607000000000097",
+    // MTS check error
+    "1b1f000000000011000000223334353644454647a1a2000000a3000000a40000"
+    "00a50607000000a6000000a7",
+    // MTS RERR
+    "1c1f000000000011000000223334353644454647000000b1b2b3000000b40000"
+    "00b50000",
+    // TCP + MTS data tag
+    "111f0000000000110000002233343536444546471001e9eae1e2e3e4e5e6e7e8"
+    "01020304050607080200c1c2",
+    // TCP + MTS probe
+    "101f0000000000110000002233343536444546471001e9eae1e2e3e4e5e6e7e8"
+    "01020304050607080301d1d2d3d4d5d6",
+};
+
+std::string to_hex(const std::vector<std::uint8_t>& buf) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string s;
+  for (std::uint8_t b : buf) {
+    s += kDigits[b >> 4];
+    s += kDigits[b & 0x0f];
+  }
+  return s;
+}
+
+std::vector<std::uint8_t> from_hex(const std::string& hex) {
+  std::vector<std::uint8_t> buf;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    buf.push_back(
+        static_cast<std::uint8_t>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
+  return buf;
+}
+
+// Every field of every header, for struct equality without requiring
+// operator== on the production types.
+auto fields(const CommonHeader& c) {
+  return std::tie(c.kind, c.src, c.dst, c.uid, c.payload_bytes, c.originated);
+}
+auto fields(const TcpHeader& t) {
+  return std::tie(t.seq, t.ack, t.flow_id, t.ts, t.retransmit);
+}
+auto fields(const std::monostate&) { return std::tie(); }
+auto fields(const AodvRreqHeader& h) {
+  return std::tie(h.rreq_id, h.orig, h.dst, h.orig_seq, h.dst_seq,
+                  h.dst_seq_known);
+}
+auto fields(const AodvRrepHeader& h) {
+  return std::tie(h.orig, h.dst, h.dst_seq, h.lifetime);
+}
+auto fields(const AodvRerrHeader& h) { return std::tie(h.unreachable); }
+auto fields(const DsrRreqHeader& h) {
+  return std::tie(h.rreq_id, h.orig, h.target, h.record);
+}
+auto fields(const DsrRrepHeader& h) {
+  return std::tie(h.orig, h.target, h.route);
+}
+auto fields(const DsrRerrHeader& h) {
+  return std::tie(h.notify, h.from, h.to, h.back_path);
+}
+auto fields(const DsrSourceRoute& h) { return std::tie(h.route, h.salvaged); }
+auto fields(const MtsRreqHeader& h) {
+  return std::tie(h.bcast_id, h.orig, h.dst, h.nodes);
+}
+auto fields(const MtsRrepHeader& h) {
+  return std::tie(h.rrep_id, h.orig, h.dst, h.hop_count, h.nodes);
+}
+auto fields(const MtsCheckHeader& h) {
+  return std::tie(h.check_id, h.path_id, h.checker, h.source, h.hop_count,
+                  h.nodes);
+}
+auto fields(const MtsCheckErrorHeader& h) {
+  return std::tie(h.path_id, h.checker, h.flow_source, h.reporter,
+                  h.broken_from, h.broken_to, h.nodes);
+}
+auto fields(const MtsRerrHeader& h) {
+  return std::tie(h.source, h.dst, h.path_id, h.broken_from, h.broken_to);
+}
+auto fields(const MtsDataTag& h) { return std::tie(h.path_id); }
+auto fields(const MtsProbeHeader& h) {
+  return std::tie(h.path_id, h.probe_id, h.echo);
+}
+
+bool same_routing(const RoutingHeader& a, const RoutingHeader& b) {
+  if (a.index() != b.index()) return false;
+  return std::visit(
+      [&b](const auto& x) {
+        return fields(x) == fields(std::get<std::decay_t<decltype(x)>>(b));
+      },
+      a);
+}
+
+TEST(WireGoldenTest, EveryAlternativeEncodesToItsPinnedImage) {
+  for (std::size_t a = 0; a < kAlternatives; ++a) {
+    EXPECT_EQ(to_hex(encode_sample(golden_sample(a))), kGoldenHex[a])
+        << "alternative " << a;
+  }
+}
+
+TEST(WireGoldenTest, EveryPinnedImageDecodesToItsInstance) {
+  for (std::size_t a = 0; a < kAlternatives; ++a) {
+    const Sample s = golden_sample(a);
+    const auto d = decode_packet(from_hex(kGoldenHex[a]));
+    ASSERT_TRUE(d.has_value()) << "alternative " << a;
+    EXPECT_TRUE(fields(d->common) == fields(s.common)) << "alternative " << a;
+    ASSERT_EQ(d->tcp.has_value(), s.has_tcp) << "alternative " << a;
+    if (s.has_tcp) {
+      EXPECT_TRUE(fields(*d->tcp) == fields(s.tcp)) << "alternative " << a;
+    }
+    EXPECT_TRUE(same_routing(d->routing, s.routing)) << "alternative " << a;
+    EXPECT_EQ(d->hop, s.hop) << "alternative " << a;
+    EXPECT_EQ(d->payload_bytes, s.payload.size()) << "alternative " << a;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Rejection: malformed buffers must come back nullopt, never garbage.
 // ---------------------------------------------------------------------------
 
@@ -517,6 +769,138 @@ TEST(WireRejectTest, EmptyAndTinyBuffers) {
   EXPECT_FALSE(decode_packet(nullptr, 0).has_value());
   const std::vector<std::uint8_t> tiny(kCommonHeaderBytes - 1, 0);
   EXPECT_FALSE(decode_packet(tiny).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Deterministic mutation fuzz of decode_packet, the parser an adversary's
+// captures go through.  Seeds are encoder output for every alternative,
+// with and without TCP and payload; each iteration stacks one to three
+// mutations on a seed.  Seed and budget are fixed, so a failure replays.
+// ---------------------------------------------------------------------------
+
+using Bytes = std::vector<std::uint8_t>;
+
+std::vector<Bytes> fuzz_corpus() {
+  sim::Rng rng(15);
+  std::vector<Bytes> corpus;
+  for (std::size_t a = 0; a < kAlternatives; ++a) {
+    for (int variant = 0; variant < 4; ++variant) {
+      Sample s = sample_for(a, rng);
+      if (is_transport(s.common.kind)) {
+        s.has_tcp = (variant & 1) != 0;
+        const std::size_t payload = (variant & 2) != 0 ? 1 + a : 0;
+        s.payload.resize(payload);
+        s.common.payload_bytes = static_cast<std::uint32_t>(payload);
+      }
+      corpus.push_back(encode_sample(s));
+    }
+  }
+  return corpus;
+}
+
+std::size_t rpos(sim::Rng& rng, std::size_t n) {
+  return static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+}
+
+void mutate(Bytes& buf, const std::vector<Bytes>& corpus, sim::Rng& rng) {
+  switch (rng.uniform_int(0, 7)) {
+    case 0:  // byte rewrite
+      if (!buf.empty()) buf[rpos(rng, buf.size())] = ru8(rng);
+      break;
+    case 1:  // bit flip
+      if (!buf.empty()) {
+        buf[rpos(rng, buf.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
+      }
+      break;
+    case 2:  // truncation
+      buf.resize(rpos(rng, buf.size() + 1));
+      break;
+    case 3:  // extension, with zeros (which padding accepts) or noise
+      for (auto n = rng.uniform_int(1, 8); n > 0; --n) {
+        buf.push_back(rng.bernoulli(0.5) ? 0 : ru8(rng));
+      }
+      break;
+    case 4: {  // splice: a prefix of this image, a suffix of another
+      const Bytes& other = corpus[rpos(rng, corpus.size())];
+      buf.resize(rpos(rng, buf.size() + 1));
+      buf.insert(buf.end(),
+                 other.begin() + static_cast<std::ptrdiff_t>(
+                                     rpos(rng, other.size() + 1)),
+                 other.end());
+      break;
+    }
+    case 5:  // payload_bytes lie: nearby or arbitrary
+      if (buf.size() >= 4) {
+        const int old = (buf[2] << 8) | buf[3];
+        const auto lie = rng.bernoulli(0.5)
+                             ? old + rng.uniform_int(-4, 4)
+                             : rng.uniform_int(0, 0xffff);
+        buf[2] = static_cast<std::uint8_t>(lie >> 8);
+        buf[3] = static_cast<std::uint8_t>(lie);
+      }
+      break;
+    case 6:  // AODV RERR count lie
+      if (buf.size() > kCommonHeaderBytes &&
+          (buf[0] & 0x0f) == static_cast<std::uint8_t>(PacketKind::kAodvRerr)) {
+        buf[kCommonHeaderBytes] = rng.bernoulli(0.5)
+                                      ? static_cast<std::uint8_t>(
+                                            buf[kCommonHeaderBytes] +
+                                            rng.uniform_int(-2, 2))
+                                      : ru8(rng);
+      }
+      break;
+    case 7: {  // kind or option-tag rewrite
+      if (buf.empty()) break;
+      if (rng.bernoulli(0.5)) {
+        buf[0] = static_cast<std::uint8_t>((buf[0] & 0xf0) |
+                                           rng.uniform_int(0, 15));
+        break;
+      }
+      std::size_t at = kCommonHeaderBytes;
+      if (at < buf.size() && buf[at] == kTagTcp) at += kTcpHeaderBytes;
+      constexpr std::uint8_t kTags[] = {0x00,         kTagSourceRoute,
+                                        kTagMtsData,  kTagMtsProbe,
+                                        kTagTcp,      0x7f};
+      if (at < buf.size()) buf[at] = kTags[rpos(rng, std::size(kTags))];
+      break;
+    }
+    default:
+      break;
+  }
+}
+
+TEST(WireFuzzTest, DecodeNeverThrowsAndEveryAcceptedImageReencodes) {
+  constexpr int kIterations = 200000;
+  const std::vector<Bytes> corpus = fuzz_corpus();
+  sim::Rng rng(20260);
+  int accepted = 0;
+  for (int iter = 0; iter < kIterations; ++iter) {
+    Bytes buf = corpus[rpos(rng, corpus.size())];
+    for (auto n = rng.uniform_int(1, 3); n > 0; --n) mutate(buf, corpus, rng);
+
+    std::optional<DecodedPacket> d;
+    ASSERT_NO_THROW(d = decode_packet(buf)) << "iteration " << iter;
+    if (!d.has_value()) continue;
+    ++accepted;
+    Bytes again;
+    ASSERT_NO_THROW(encode_headers(d->common,
+                                   d->tcp.has_value() ? &*d->tcp : nullptr,
+                                   d->routing, again, d->hop))
+        << "iteration " << iter;
+    again.insert(again.end(),
+                 buf.begin() + static_cast<std::ptrdiff_t>(d->payload_offset),
+                 buf.end());
+    ASSERT_EQ(again, buf) << "iteration " << iter;
+    ASSERT_EQ(routing_header_bytes(d->routing),
+              d->payload_offset - kCommonHeaderBytes -
+                  (d->tcp.has_value() ? kTcpHeaderBytes : 0))
+        << "iteration " << iter;
+  }
+  // The mutations neither all miss nor all land: both verdicts occur.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kIterations);
 }
 
 // ---------------------------------------------------------------------------
