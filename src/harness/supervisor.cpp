@@ -1,10 +1,13 @@
 #include "harness/supervisor.hpp"
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <deque>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -15,6 +18,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #define MTS_FABRIC_HAS_FORK 1
+#include <poll.h>
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -265,6 +269,9 @@ FabricReport run_campaign_fabric(const CampaignConfig& cfg,
 #if defined(MTS_FABRIC_HAS_FORK)
   struct Running {
     pid_t pid = -1;
+    /// Read end of a pipe whose only write end the worker holds: it
+    /// hangs up when the worker exits, however it exits.
+    int exit_fd = -1;
     std::size_t idx = 0;
     std::uint32_t attempt = 1;
     Clock::time_point deadline;
@@ -300,7 +307,6 @@ FabricReport run_campaign_fabric(const CampaignConfig& cfg,
   };
 
   while (!pending.empty() || !running.empty()) {
-    bool advanced = false;
     // Spawn every ready unit into a free slot.
     const auto now = Clock::now();
     for (auto it = pending.begin();
@@ -315,19 +321,26 @@ FabricReport run_campaign_fabric(const CampaignConfig& cfg,
                           ? "run: "
                           : "retry " + std::to_string(it->attempt) + ": ") +
                          short_unit_desc(cfg, u));
-      const pid_t pid = ::fork();
+      int exit_pipe[2] = {-1, -1};
+      const pid_t pid = ::pipe(exit_pipe) == 0 ? ::fork() : -1;
       if (pid == 0) {
+        ::close(exit_pipe[0]);
         worker_main(cfg, fab, store, u, it->attempt);  // never returns
       }
       if (pid < 0) {
+        for (const int fd : exit_pipe) {
+          if (fd >= 0) ::close(fd);
+        }
         on_attempt_failure(u, it->attempt, "fork failed");
       } else {
+        ::close(exit_pipe[1]);
         if (!spawned[u.index]) {
           spawned[u.index] = 1;
           ++report.units_run;
         }
         Running r;
         r.pid = pid;
+        r.exit_fd = exit_pipe[0];
         r.idx = it->idx;
         r.attempt = it->attempt;
         r.deadline = fab.unit_timeout_s > 0.0
@@ -337,26 +350,47 @@ FabricReport run_campaign_fabric(const CampaignConfig& cfg,
         running.push_back(r);
       }
       it = pending.erase(it);
-      advanced = true;
     }
-    // Reap exits and enforce deadlines.
-    for (auto it = running.begin(); it != running.end();) {
-      int status = 0;
-      const pid_t r = ::waitpid(it->pid, &status, WNOHANG);
-      if (r == 0) {
-        if (!it->timed_out && Clock::now() >= it->deadline) {
+    // Sleep until a worker exits, a deadline passes or, with a slot
+    // free, a retry's backoff ends.
+    auto wake = Clock::time_point::max();
+    std::vector<pollfd> exits;
+    for (const Running& r : running) {
+      exits.push_back(pollfd{r.exit_fd, 0, 0});  // POLLHUP needs no event bit
+      if (!r.timed_out) wake = std::min(wake, r.deadline);
+    }
+    if (running.size() < workers) {
+      for (const Pending& p : pending) wake = std::min(wake, p.not_before);
+    }
+    int timeout_ms = -1;
+    if (wake != Clock::time_point::max()) {
+      const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+          wake - Clock::now());
+      timeout_ms = static_cast<int>(std::clamp<std::int64_t>(
+          wait.count(), 0, std::numeric_limits<int>::max()));
+    }
+    ::poll(exits.data(), exits.size(), timeout_ms);  // EINTR: just re-check
+    // Reap the workers that hung up; enforce the others' deadlines.
+    const auto after = Clock::now();
+    std::size_t i = 0;
+    for (auto it = running.begin(); it != running.end(); ++i) {
+      if (exits[i].revents == 0) {
+        if (!it->timed_out && after >= it->deadline) {
           it->timed_out = true;
           ::kill(it->pid, SIGKILL);
         }
         ++it;
         continue;
       }
-      advanced = true;
+      // The hang-up means the worker is exiting: this wait is short.
+      int status = 0;
+      pid_t r;
+      do {
+        r = ::waitpid(it->pid, &status, 0);
+      } while (r < 0 && errno == EINTR);
+      ::close(it->exit_fd);
       handle_exit(*it, r == it->pid ? status : 0);
       it = running.erase(it);
-    }
-    if (!advanced) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
   }
 #else

@@ -83,11 +83,8 @@ void Channel::radiate(net::NodeId sender, const mobility::Vec2& sp,
     if (d2 > cs_r * cs_r) return;
     const bool decodable = prop_->link_up(sender, sp, id, rp, now);
     const double d = std::sqrt(d2);
-    // Two-ray path-loss surrogate (power ~ d^-4) for the capture rule;
-    // clamped below 1 m to keep it finite.
-    const double p = std::pow(std::max(d, 1.0), -4.0);
     w.arrivals.push_back(Wave::Arrival{{now + propagation_delay(d), 0},
-                                       entries_[id].radio, p, decodable});
+                                       entries_[id].radio, d, decodable});
   };
 
   if (index_ != nullptr) {
@@ -122,10 +119,8 @@ void Channel::step(Wave& w) {
     e.radio->end_reception(e.slot);
   } else {
     const Wave::Arrival a = w.arrivals[w.next_arrival++];
-    const bool last = w.next_arrival == w.arrivals.size();
-    Frame frame = last ? std::move(w.frame) : Frame(w.frame);
-    if (const auto end = a.radio->begin_reception(std::move(frame), w.airtime,
-                                                  a.decodable, a.power)) {
+    if (const auto end = a.radio->begin_reception(w.frame, w.airtime,
+                                                  a.decodable, a.distance)) {
       // Arrivals run in (t, seq) order, every end is its arrival plus
       // the one shared airtime, and each end's seq is drawn later than
       // the one before: ends arrive sorted.
@@ -161,6 +156,7 @@ Channel::Wave& Channel::acquire_wave() {
 }
 
 void Channel::release_wave(Wave& w) {
+  w.frame.payload.reset();  // the last reception that read it has ended
   w.arrivals.clear();
   w.ends.clear();
   w.next_arrival = 0;

@@ -113,7 +113,7 @@ class Channel {
     struct Arrival {
       Key key;
       Radio* radio;
-      double power;
+      double distance;  ///< metres, for the receiver's capture rule
       bool decodable;
     };
     struct End {
@@ -121,8 +121,8 @@ class Channel {
       Radio* radio;
       std::uint32_t slot;
     };
-    /// Shared by every arrival; the last arrival takes it, so no packet
-    /// body stays pinned past the arrival phase.
+    /// Lent to every reception, which reads it at its end step; held
+    /// until the wave's last step and dropped in release_wave().
     Frame frame;
     sim::Time airtime;
     std::vector<Arrival> arrivals;  ///< sorted by key

@@ -1,11 +1,21 @@
 #include "phy/radio.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "phy/channel.hpp"
 #include "sim/error.hpp"
 
 namespace mts::phy {
+namespace {
+
+/// Two-ray path-loss surrogate (power ~ d^-4) for the capture rule,
+/// clamped below 1 m to keep it finite.
+double capture_power(double distance) {
+  return std::pow(std::max(distance, 1.0), -4.0);
+}
+
+}  // namespace
 
 const char* frame_type_name(FrameType t) {
   switch (t) {
@@ -36,10 +46,10 @@ void Radio::tx_done() {
   medium_edge(/*was_busy=*/true);
 }
 
-std::optional<Radio::ReceptionEnd> Radio::begin_reception(Frame frame,
+std::optional<Radio::ReceptionEnd> Radio::begin_reception(const Frame& frame,
                                                           sim::Time airtime,
                                                           bool decodable,
-                                                          double rx_power) {
+                                                          double distance) {
   if (transmitting()) {
     // Deaf while keyed up; the energy passes unnoticed (it also cannot
     // corrupt anything: we are not receiving).
@@ -49,12 +59,17 @@ std::optional<Radio::ReceptionEnd> Radio::begin_reception(Frame frame,
   // Capture (ns-2 WirelessPhy): the newcomer is noise to any ongoing
   // reception that is >= capture_threshold_ stronger; such receptions
   // survive.  Weaker or comparable ongoing receptions are corrupted.
-  // The newcomer itself is decodable only if the medium was clear.
-  bool corrupt = false;
-  for (const std::uint32_t idx : active_) {
-    corrupt = true;
-    Reception& rx = slots_[idx];
-    if (rx.power < rx_power * capture_threshold_) rx.corrupt = true;
+  // The newcomer itself is decodable only if the medium was clear.  The
+  // powers matter only here, on overlap, so they are computed here.
+  const bool corrupt = !active_.empty();
+  if (corrupt) {
+    const double rx_power = capture_power(distance);
+    for (const std::uint32_t idx : active_) {
+      Reception& rx = slots_[idx];
+      if (capture_power(rx.distance) < rx_power * capture_threshold_) {
+        rx.corrupt = true;
+      }
+    }
   }
   std::uint32_t slot;
   if (free_.empty()) {
@@ -64,7 +79,7 @@ std::optional<Radio::ReceptionEnd> Radio::begin_reception(Frame frame,
     slot = free_.back();
     free_.pop_back();
   }
-  slots_[slot] = Reception{std::move(frame), corrupt, decodable, rx_power};
+  slots_[slot] = Reception{&frame, corrupt, decodable, distance};
   active_.push_back(slot);
   // The end's seq is drawn here, where a self-scheduled end event would
   // draw it: before the busy edge below, whose callback may schedule.
@@ -77,14 +92,12 @@ std::optional<Radio::ReceptionEnd> Radio::begin_reception(Frame frame,
 void Radio::end_reception(std::uint32_t slot) {
   auto it = std::find(active_.begin(), active_.end(), slot);
   sim::require(it != active_.end(), "Radio: reception record lost");
-  // Swap-remove from the active list, move the record out, and recycle
+  // Swap-remove from the active list, copy the record out, and recycle
   // the slot *before* running callbacks: a callback may re-enter
   // begin_reception (MAC responses), which must see a consistent pool.
-  // The move empties the slot's packet handle, so the pooled body is
-  // released the moment the reception ends, not when the slot recycles.
   *it = active_.back();
   active_.pop_back();
-  const Reception rec = std::move(slots_[slot]);
+  const Reception rec = slots_[slot];
   free_.push_back(slot);
   if (rec.corrupt) {
     ++collisions_;
@@ -93,7 +106,7 @@ void Radio::end_reception(std::uint32_t slot) {
   } else if (rec.decodable && !transmitting()) {
     ++decoded_;
     if (counters_ != nullptr) ++counters_->mac_rx_frames;
-    if (cb_.on_frame) cb_.on_frame(rec.frame);
+    if (cb_.on_frame) cb_.on_frame(*rec.frame);
   } else if (!rec.decodable) {
     if (cb_.on_rx_garbage) cb_.on_rx_garbage();
   }

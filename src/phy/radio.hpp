@@ -16,9 +16,12 @@ class Channel;
 
 /// Half-duplex radio transceiver attached to one node.
 ///
-/// Reception model (no capture): any temporal overlap of two receptions
-/// corrupts both; transmitting makes the radio deaf; starting to
-/// transmit corrupts anything being received.  Physical carrier sense is
+/// Reception model (ns-2 `WirelessPhy` capture): a reception that starts
+/// while another is in progress is never decoded, and each ongoing
+/// reception survives it only if it is at least `capture_threshold_`
+/// stronger (two-ray power ~ d^-4); otherwise that one corrupts too.
+/// Transmitting makes the radio deaf; starting to transmit corrupts
+/// anything being received.  Physical carrier sense is
 /// `busy = transmitting || any reception in progress`, reported to the
 /// MAC via edge-triggered callbacks.
 ///
@@ -70,13 +73,15 @@ class Radio {
     std::uint32_t slot;
   };
 
-  /// Channel-facing: energy begins arriving.  `decodable` is false for
-  /// frames inside carrier-sense range but beyond decode range.
-  /// `rx_power` is a relative received-power figure (the channel's
-  /// path-loss surrogate) used for the capture rule.  Returns the
-  /// reception's end, or nullopt when the radio is deaf (transmitting).
-  std::optional<ReceptionEnd> begin_reception(Frame frame, sim::Time airtime,
-                                              bool decodable, double rx_power);
+  /// Channel-facing: energy begins arriving from `distance` metres.
+  /// `decodable` is false for frames inside carrier-sense range but
+  /// beyond decode range.  The radio keeps a pointer to `frame`: the
+  /// channel keeps it alive until the reception's end step has run.
+  /// Returns the reception's end, or nullopt when the radio is deaf
+  /// (transmitting).
+  std::optional<ReceptionEnd> begin_reception(const Frame& frame,
+                                              sim::Time airtime,
+                                              bool decodable, double distance);
 
   /// Channel-facing: the reception in `slot` ends now.
   void end_reception(std::uint32_t slot);
@@ -92,10 +97,10 @@ class Radio {
 
  private:
   struct Reception {
-    Frame frame;
+    const Frame* frame;  ///< borrowed from the channel's delivery wave
     bool corrupt;
     bool decodable;
-    double power;
+    double distance;  ///< metres; its capture power is computed on overlap
   };
 
   void tx_done();

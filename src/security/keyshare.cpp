@@ -180,24 +180,30 @@ SecrecyPlane::materialize_payload(std::uint16_t flow_id, std::uint32_t seq,
   const FlowSecret* f = find(flow_id);
   sim::require(f != nullptr, "SecrecyPlane: unregistered flow");
   const Share& share = f->shares[share_index % f->n];
-  auto out = std::make_shared<std::vector<std::uint8_t>>();
-  out->reserve(payload_bytes);
+  auto out = std::make_shared<std::vector<std::uint8_t>>(payload_bytes);
+  std::uint8_t* bytes = out->data();
   // Share trailer first, when the segment is big enough to carry it.
+  std::uint32_t head = 0;
   if (payload_bytes >= kShareTrailerFixed + share.bytes.size()) {
-    out->push_back(kShareMagic0);
-    out->push_back(kShareMagic1);
-    out->push_back(share.x);
-    out->push_back(static_cast<std::uint8_t>(share.bytes.size()));
-    out->insert(out->end(), share.bytes.begin(), share.bytes.end());
+    bytes[0] = kShareMagic0;
+    bytes[1] = kShareMagic1;
+    bytes[2] = share.x;
+    bytes[3] = static_cast<std::uint8_t>(share.bytes.size());
+    std::copy(share.bytes.begin(), share.bytes.end(),
+              bytes + kShareTrailerFixed);
+    head = kShareTrailerFixed + static_cast<std::uint32_t>(share.bytes.size());
   }
   // The rest of the fragment is plaintext XOR keystream; the plaintext
   // is modelled as zeros, so the wire carries the keystream itself.
+  // Byte i is byte i % 8 of word i / 8, starting at the first word
+  // boundary at or after the trailer; the bytes before it stay zero.
   const std::uint64_t seed = keystream_seed(f->key, flow_id, seq);
-  std::uint64_t word = 0;
-  for (std::uint32_t i = static_cast<std::uint32_t>(out->size());
-       i < payload_bytes; ++i) {
-    if (i % 8 == 0) word = sim::splitmix64(seed + i / 8);
-    out->push_back(static_cast<std::uint8_t>(word >> ((i % 8) * 8)));
+  for (std::uint32_t i = (head + 7) / 8 * 8; i < payload_bytes; i += 8) {
+    const std::uint64_t word = sim::splitmix64(seed + i / 8);
+    const std::uint32_t n = std::min<std::uint32_t>(8, payload_bytes - i);
+    for (std::uint32_t k = 0; k < n; ++k) {
+      bytes[i + k] = static_cast<std::uint8_t>(word >> (8 * k));
+    }
   }
   return out;
 }

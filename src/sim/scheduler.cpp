@@ -104,7 +104,7 @@ bool Scheduler::peek_live() const {
   return !heap_.empty();
 }
 
-void Scheduler::dispatch_top() {
+void Scheduler::dispatch_top(Time horizon) {
   const Entry e = heap_.front();
   const auto s = static_cast<std::uint32_t>(e.key & kSlotMask);
   Slot& slot = slot_at(s);
@@ -112,7 +112,7 @@ void Scheduler::dispatch_top() {
   ++executed_;
   ++executed_by_[static_cast<std::size_t>(slot.cat)];
   if (slot.wave) {
-    run_wave_step(s);
+    run_wave_steps(s, horizon);
     return;
   }
   pop_min();
@@ -128,28 +128,48 @@ void Scheduler::dispatch_top() {
   fn();
 }
 
-void Scheduler::run_wave_step(std::uint32_t s) {
-  // The step runs with the wave's entry live at the root.  Everything
+bool Scheduler::root_sorts_first() const {
+  const std::size_t last = std::min<std::size_t>(kArity + 1, heap_.size());
+  for (std::size_t c = 1; c < last; ++c) {
+    if (heap_[c].before(heap_.front())) return false;
+  }
+  return true;
+}
+
+void Scheduler::run_wave_steps(std::uint32_t s, Time horizon) {
+  // Each step runs with the wave's entry live at the root.  Everything
   // the step inserts sorts after it (time >= now_, a fresh seq), and a
   // compaction keeps it there (it is live and the minimum), so afterwards
-  // the root is re-keyed in place instead of popped and pushed.
+  // the root is re-keyed in place instead of popped and pushed.  While
+  // the re-keyed root still sorts before its children, the dispatch loop
+  // would pick it next: unless stop() was called or the step lies past
+  // the horizon, run it here.  A tombstone among the children only ends
+  // the chain early.
   Slot& slot = slot_at(s);
-  const std::uint64_t key = heap_.front().key;
-  stepping_ = s;
-  wave_next_.key = kDeadKey;
-  slot.fn();
-  stepping_ = kNullIndex;
-  require(heap_.front().key == key, "Scheduler: wave entry left the root");
-  if (wave_next_.key != kDeadKey) {
+  for (;;) {
+    const std::uint64_t key = heap_.front().key;
+    stepping_ = s;
+    wave_next_.key = kDeadKey;
+    slot.fn();
+    stepping_ = kNullIndex;
+    require(heap_.front().key == key, "Scheduler: wave entry left the root");
+    if (wave_next_.key == kDeadKey) {
+      pop_min();
+      release_slot(s);
+      --live_count_;
+      return;
+    }
     slot.live_key = wave_next_.key;
     slot.cat = wave_next_cat_;
     heap_.front() = wave_next_;
-    sift_down(0);
-    return;
+    if (stopped_ || wave_next_.t > horizon || !root_sorts_first()) {
+      sift_down(0);
+      return;
+    }
+    now_ = wave_next_.t;
+    ++executed_;
+    ++executed_by_[static_cast<std::size_t>(slot.cat)];
   }
-  pop_min();
-  release_slot(s);
-  --live_count_;
 }
 
 // ---------------------------------------------------------------------------
@@ -185,7 +205,7 @@ Time Scheduler::next_event_time() const {
 void Scheduler::run() {
   stopped_ = false;
   while (!stopped_ && peek_live()) {
-    dispatch_top();
+    dispatch_top(Time::max());
   }
 }
 
@@ -194,7 +214,7 @@ void Scheduler::run_until(Time end) {
   stopped_ = false;
   while (!stopped_ && peek_live()) {
     if (top().t > end) break;
-    dispatch_top();
+    dispatch_top(end);
   }
   if (now_ < end) now_ = end;
 }
@@ -204,7 +224,7 @@ std::size_t Scheduler::run_steps(std::size_t n) {
   std::size_t done = 0;
   while (done < n && !stopped_ && peek_live()) {
     ++done;
-    dispatch_top();
+    dispatch_top(kNoChaining);
   }
   return done;
 }

@@ -150,7 +150,11 @@ class Scheduler {
   }
 
   /// From inside a wave step only: keys the wave's next step at (t, seq)
-  /// with t >= now() and `seq` taken from reserve_seqs().
+  /// with t >= now() and `seq` taken from reserve_seqs().  When that key
+  /// is still the queue's minimum, run()/run_until() run the step at once
+  /// (no sift, no return to the dispatch loop) unless stop() was called
+  /// or it lies past run_until()'s end; the order, now() and the counts
+  /// are those of popping it.  run_steps() never chains.
   void continue_wave(Time t, std::uint64_t seq, EventCategory cat) {
     require(stepping_ != kNullIndex, "Scheduler: continue_wave outside a step");
     require(t >= now_, "Scheduler: cannot schedule into the past");
@@ -300,10 +304,17 @@ class Scheduler {
   bool peek_live() const;
   /// The minimum live entry; valid right after peek_live() == true.
   [[nodiscard]] const Entry& top() const { return heap_.front(); }
-  /// Runs the live top event (or wave step) at its time.
-  /// Pre-condition: peek_live() returned true.
-  void dispatch_top();
-  void run_wave_step(std::uint32_t s);
+  /// Runs the live top event at its time; a wave runs its top step and
+  /// then, in place, every following step keyed at or before `horizon`
+  /// that would be the next pop.  Pre-condition: peek_live() returned
+  /// true.
+  void dispatch_top(Time horizon);
+  void run_wave_steps(std::uint32_t s, Time horizon);
+  /// Whether the root sorts before each of its children, i.e. is the
+  /// minimum (tombstones included).
+  [[nodiscard]] bool root_sorts_first() const;
+  /// A horizon before every event: run_steps() runs one step per call.
+  static constexpr Time kNoChaining = Time::ns(-1);
 
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 1;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -145,6 +147,69 @@ TEST_F(RadioChannelTest, NoCaptureWhenComparablePower) {
   radios_[2]->start_transmit(frame(2, 1), sim::Time::ms(1));
   sched_.run();
   EXPECT_TRUE(received_[1].empty());
+}
+
+TEST(RadioCaptureTest, OutcomesFollowTheTwoRayCaptureRule) {
+  // Receiver 0 at the origin hears sender 1 from d1, then, 100 us into
+  // that frame, interferer 2 from d2 on the other side.  The first frame
+  // survives iff its d^-4 power is at least 10x the interferer's; the
+  // late one never decodes.  The expected outcome is the rule evaluated
+  // eagerly here, over pairs around the 10^(1/4) distance ratio and
+  // below the 1 m clamp.
+  const double dists[] = {0.25, 1.0, 1.5, 30.0, 50.0, 88.9, 100.0,
+                          177.82794100389228, 177.9, 200.0, 249.0,
+                          316.2, 400.0, 549.0};
+  const auto power = [](double d) { return std::pow(std::max(d, 1.0), -4.0); };
+  int survived = 0;
+  int corrupted = 0;
+  for (const double d1 : dists) {
+    if (d1 > 250.0) continue;  // the first frame must be decodable
+    for (const double d2 : dists) {
+      SCOPED_TRACE(testing::Message() << "d1=" << d1 << " d2=" << d2);
+      sim::Scheduler sched;
+      const UnitDiskPropagation prop(250.0);
+      Channel channel(sched, prop,
+                      ChannelConfig{.cs_range_factor = 2.2,
+                                    .use_spatial_index = false});
+      const mobility::Vec2 at[] = {{0, 0}, {d1, 0}, {-d2, 0}};
+      std::vector<std::unique_ptr<mobility::StaticMobility>> mob;
+      std::vector<std::unique_ptr<Radio>> radios;
+      std::vector<net::NodeId> decoded;
+      for (net::NodeId i = 0; i < 3; ++i) {
+        mob.push_back(std::make_unique<mobility::StaticMobility>(at[i]));
+        radios.push_back(std::make_unique<Radio>(sched, i, nullptr));
+        channel.attach(radios.back().get(), mob.back().get());
+      }
+      radios[0]->set_callbacks(Radio::Callbacks{
+          [&decoded](const Frame& f) { decoded.push_back(f.transmitter); },
+          nullptr, nullptr, nullptr});
+      channel.finalize();
+      Frame f;
+      f.bytes = 100;
+      f.transmitter = 1;
+      radios[1]->start_transmit(f, sim::Time::ms(1));
+      sched.run_until(sim::Time::us(100));
+      f.transmitter = 2;
+      radios[2]->start_transmit(f, sim::Time::ms(1));
+      sched.run();
+
+      const double r1 = std::sqrt(mobility::distance_sq(at[0], at[1]));
+      const double r2 = std::sqrt(mobility::distance_sq(at[0], at[2]));
+      const bool survives = !(power(r1) < power(r2) * 10.0);
+      if (survives) {
+        ++survived;
+        EXPECT_EQ(decoded, (std::vector<net::NodeId>{1}));
+        EXPECT_EQ(radios[0]->collisions(), 1u);
+      } else {
+        ++corrupted;
+        EXPECT_TRUE(decoded.empty());
+        EXPECT_EQ(radios[0]->collisions(), 2u);
+      }
+    }
+  }
+  // The grid exercises both outcomes.
+  EXPECT_GT(survived, 10);
+  EXPECT_GT(corrupted, 10);
 }
 
 TEST_F(RadioChannelTest, LateWeakFrameNeverDecodedEvenAfterStrongEnds) {

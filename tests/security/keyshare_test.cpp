@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -188,6 +189,33 @@ TEST(SecrecyPlaneTest, PayloadMaterializationIsDeterministic) {
   const auto tiny = plane.materialize_payload(1, 7, 2, 8);
   EXPECT_EQ(tiny->size(), 8u);
   EXPECT_NE((*tiny)[0], kShareMagic0);  // keystream, not the trailer
+}
+
+TEST(SecrecyPlaneTest, PayloadBytesMatchTheirGoldenImage) {
+  // Pinned bytes of one fixed (flow, seq, share): a 20 B trailer, so
+  // the keystream starts mid-word (bytes 20..23 stay zero until the
+  // first word boundary), and an unaligned 5 B tail; then a segment too
+  // small for the trailer, all keystream with a 5 B tail.
+  SecrecySpec spec;
+  spec.enabled = true;
+  spec.key_bytes = 16;
+  SecrecyPlane plane(spec, sim::Rng(99));
+  plane.register_flow(1, 5);
+  const auto hex = [](const std::vector<std::uint8_t>& bytes) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string s;
+    for (const std::uint8_t b : bytes) {
+      s += kDigits[b >> 4];
+      s += kDigits[b & 15];
+    }
+    return s;
+  };
+  EXPECT_EQ(hex(*plane.materialize_payload(1, 7, 2, 53)),
+            "4b530310271206cd8cc21fc2b26c757e3b5c56d200000000"
+            "90b76be9808adb17eb66ef6af8ae7f055fb3208364b5468b"
+            "4440f42b51");
+  EXPECT_EQ(hex(*plane.materialize_payload(1, 7, 2, 13)),
+            "a5b84ca2d5e52a9103e6db5b97");
 }
 
 TEST(SecrecyPlaneTest, WireImageCachesOnThePacketBody) {

@@ -639,8 +639,8 @@ TEST(SchedulerTest, ContinueWaveOutsideAStepThrows) {
 /// stands for its arrivals' schedules; an end's seq for the end's
 /// schedule), so they must fire the same labels in the same order.
 /// Steps schedule, cancel and re-arm plain events, start nested waves,
-/// and now and then cancel most plain events at once, enough to compact
-/// the queue in the middle of a wave step.
+/// call stop(), and now and then cancel most plain events at once,
+/// enough to compact the queue in the middle of a wave step.
 class WaveProgram {
  public:
   WaveProgram(bool use_waves, std::uint64_t seed)
@@ -807,6 +807,8 @@ class WaveProgram {
       for (int i = 0; i < 200; ++i) {
         add_plain(uniform_ns(rng_, 1000000, 900000000));
       }
+    } else if (op < 90) {
+      s.stop();  // the run returns after this event or step
     }
   }
 
@@ -821,7 +823,11 @@ class WaveProgram {
   bool in_step_ = false;
 };
 
-TEST(SchedulerTest, WavesFireLikeIndividuallyScheduledEvents) {
+/// Runs the wave and the plain-event version of seeded programs side by
+/// side, advancing both with `advance(scheduler, rng)` until they drain,
+/// and checks after every call that they agree.
+template <typename Advance>
+void expect_waves_fire_like_events(Advance advance) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     SCOPED_TRACE(seed);
     WaveProgram waves(true, seed);
@@ -829,9 +835,9 @@ TEST(SchedulerTest, WavesFireLikeIndividuallyScheduledEvents) {
     waves.start();
     events.start();
     std::mt19937_64 chunks(seed * 7919);
+    std::mt19937_64 chunks_copy = chunks;
     while (waves.s.pending_count() > 0 || events.s.pending_count() > 0) {
-      const std::size_t n = 1 + chunks() % 64;
-      ASSERT_EQ(waves.s.run_steps(n), events.s.run_steps(n));
+      ASSERT_EQ(advance(waves.s, chunks), advance(events.s, chunks_copy));
       ASSERT_EQ(waves.log.size(), events.log.size());
       ASSERT_EQ(waves.s.now(), events.s.now());
       ASSERT_EQ(waves.s.next_event_time(), events.s.next_event_time());
@@ -846,6 +852,151 @@ TEST(SchedulerTest, WavesFireLikeIndividuallyScheduledEvents) {
     EXPECT_TRUE(waves.compacted_in_step);
     EXPECT_EQ(waves.s.queued_entries(), 0u);
   }
+}
+
+TEST(SchedulerTest, WavesFireLikeIndividuallyScheduledEvents) {
+  // run_steps(n): every wave step counts against n.
+  expect_waves_fire_like_events([](Scheduler& s, std::mt19937_64& rng) {
+    return s.run_steps(1 + rng() % 64);
+  });
+}
+
+TEST(SchedulerTest, ChainedWaveStepsStopAtTheRunUntilEnd) {
+  // Ends land just past the next event, so they often fall between two
+  // steps of one wave: a chained step must not run past the end.  (A
+  // stop() leaves now() at the end with earlier events still pending.)
+  expect_waves_fire_like_events([](Scheduler& s, std::mt19937_64& rng) {
+    const Time end = std::max(s.now(), s.next_event_time()) +
+                     Time::ns(static_cast<std::int64_t>(rng() % 3000));
+    s.run_until(end);
+    return s.now().nanoseconds();
+  });
+}
+
+TEST(SchedulerTest, ChainedWaveStepsHonourStop) {
+  // run() returns exactly where the program's stop() calls say.
+  expect_waves_fire_like_events([](Scheduler& s, std::mt19937_64&) {
+    s.run();
+    return s.executed_count();
+  });
+}
+
+/// A wave of `times.size()` steps, one per time, each counting as kPhy
+/// and logging now() in `fired`; step k runs `on_step(k)` first.
+template <typename OnStep>
+void schedule_steps(Scheduler& s, const std::vector<Time>& times,
+                    std::vector<std::int64_t>& fired, OnStep on_step) {
+  const std::uint64_t seq = s.reserve_seqs(times.size());
+  s.schedule_wave(
+      times[0], seq,
+      [&s, &fired, times, seq, on_step, k = std::size_t{0}]() mutable {
+        fired.push_back(s.now().nanoseconds());
+        on_step(k);
+        if (++k < times.size()) {
+          s.continue_wave(times[k], seq + k, EventCategory::kPhy);
+        }
+      },
+      EventCategory::kPhy);
+}
+
+TEST(SchedulerTest, RunUntilEndBetweenTwoStepsOfAWave) {
+  Scheduler s;
+  std::vector<std::int64_t> fired;
+  schedule_steps(s, {Time::us(1), Time::us(2), Time::us(3)}, fired,
+                 [](std::size_t) {});
+  s.run_until(Time::ns(2500));
+  EXPECT_EQ(fired, (std::vector<std::int64_t>{1000, 2000}));
+  EXPECT_EQ(s.now(), Time::ns(2500));
+  EXPECT_EQ(s.executed_count(EventCategory::kPhy), 2u);
+  EXPECT_EQ(s.next_event_time(), Time::us(3));
+  s.run_until(Time::us(3));  // the end is inclusive
+  EXPECT_EQ(fired, (std::vector<std::int64_t>{1000, 2000, 3000}));
+  EXPECT_EQ(s.pending_count(), 0u);
+}
+
+TEST(SchedulerTest, StopInsideAWaveStepEndsTheRun) {
+  Scheduler s;
+  std::vector<std::int64_t> fired;
+  schedule_steps(s, {Time::us(1), Time::us(1), Time::us(2)}, fired,
+                 [&s](std::size_t k) {
+                   if (k == 0) s.stop();
+                 });
+  s.run();
+  EXPECT_EQ(fired, (std::vector<std::int64_t>{1000}));
+  EXPECT_EQ(s.executed_count(), 1u);
+  EXPECT_EQ(s.next_event_time(), Time::us(1));
+  s.run();
+  EXPECT_EQ(fired, (std::vector<std::int64_t>{1000, 1000, 2000}));
+  EXPECT_EQ(s.now(), Time::us(2));
+}
+
+TEST(SchedulerTest, RunStepsCountsEachWaveStep) {
+  Scheduler s;
+  std::vector<std::int64_t> fired;
+  schedule_steps(s, {Time::us(1), Time::us(1), Time::us(1), Time::us(2)},
+                 fired, [](std::size_t) {});
+  EXPECT_EQ(s.run_steps(1), 1u);
+  EXPECT_EQ(fired.size(), 1u);
+  EXPECT_EQ(s.run_steps(2), 2u);
+  EXPECT_EQ(fired.size(), 3u);
+  EXPECT_EQ(s.now(), Time::us(1));
+  EXPECT_EQ(s.run_steps(5), 1u);
+  EXPECT_EQ(fired.size(), 4u);
+  EXPECT_EQ(s.executed_count(), 4u);
+}
+
+TEST(SchedulerTest, WaveChainYieldsToEarlierChildrenAndPassesTombstones) {
+  // Around the wave's entry: an equal-time event with an older seq (it
+  // runs between two steps), a cancelled one before the next step (its
+  // tombstone only costs the chain a sift) and an equal-time event with
+  // a newer seq (it waits for the step).
+  Scheduler s;
+  std::vector<std::int64_t> fired;
+  std::vector<int> order;
+  s.schedule_at(Time::us(2), [&order] { order.push_back(10); });
+  const EventId dead =
+      s.schedule_at(Time::ns(1500), [&order] { order.push_back(99); });
+  schedule_steps(s, {Time::us(1), Time::us(2), Time::us(3)}, fired,
+                 [&order](std::size_t k) { order.push_back(static_cast<int>(k)); });
+  s.schedule_at(Time::us(2), [&order] { order.push_back(11); });
+  ASSERT_TRUE(s.cancel(dead));
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 10, 1, 11, 2}));
+  EXPECT_EQ(fired, (std::vector<std::int64_t>{1000, 2000, 3000}));
+  EXPECT_EQ(s.executed_count(), 5u);
+  EXPECT_EQ(s.executed_count(EventCategory::kPhy), 3u);
+}
+
+TEST(SchedulerTest, CompactionInsideAChainedWaveStepKeepsTheOrder) {
+  // Step 1 follows step 0 with nothing in between, so it runs chained;
+  // it cancels most of the queue, which compacts it mid-step.
+  Scheduler s;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 100; ++i) {
+    ids.push_back(s.schedule_at(Time::sec(1) + Time::ns(i),
+                                [&order, i] { order.push_back(100 + i); }));
+  }
+  std::vector<std::int64_t> fired;
+  std::size_t before = 0;
+  std::size_t after = 0;
+  schedule_steps(s, {Time::us(1), Time::us(2), Time::us(3)}, fired,
+                 [&](std::size_t k) {
+                   order.push_back(static_cast<int>(k));
+                   if (k != 1) return;
+                   before = s.queued_entries();
+                   for (int i = 0; i < 90; ++i) EXPECT_TRUE(s.cancel(ids[i]));
+                   after = s.queued_entries();
+                 });
+  s.run();
+  EXPECT_EQ(before, 101u);
+  // The 65th tombstone outnumbered the 36 live entries and swept the
+  // queue: 11 live entries are left, plus the last 25 cancels' tombstones.
+  EXPECT_EQ(after, 11u + 25u);
+  std::vector<int> want{0, 1, 2};
+  for (int i = 90; i < 100; ++i) want.push_back(100 + i);
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(s.queued_entries(), 0u);
 }
 
 }  // namespace
