@@ -39,7 +39,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "bench_common.hpp"
@@ -155,13 +154,9 @@ int main(int argc, char** argv) {
 
   std::vector<std::uint32_t> coalition_sizes{1, 2, 4};
   if (const char* v = std::getenv("MTS_BENCH_COALITIONS")) {
-    std::vector<std::uint32_t> sizes;
-    std::stringstream ss(v);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      if (!item.empty()) sizes.push_back(static_cast<std::uint32_t>(std::stoul(item)));
-    }
-    if (!sizes.empty()) coalition_sizes = std::move(sizes);
+    const auto sizes =
+        harness::parse_env_u64_list("MTS_BENCH_COALITIONS", v, 1, 100000);
+    if (!sizes.empty()) coalition_sizes.assign(sizes.begin(), sizes.end());
   }
 
   cfg.adversaries.clear();

@@ -3,19 +3,17 @@
 
     python3 scripts/bench_history.py simcore --label "<what changed>"
     python3 scripts/bench_history.py scale --label "<what changed>"
-    python3 scripts/bench_history.py packetplane --label "<what changed>"
 
 Build the bench targets into `build/` first (`cmake --build build -j
---target bench_micro_simcore bench_macro_scale bench_micro_fanout
-bench_macro_packetplane`).  `simcore` runs micro_simcore's Scheduler
-benchmarks (median of 3 repetitions) and appends to BENCH_simcore.json;
-`scale` runs macro_scale at 1k and 10k nodes for 5 simulated seconds
-(median of 3) and appends to BENCH_scale.json, with the 1k/10k events/s
-ratio; `packetplane` runs micro_fanout (median of 3) and a 10-second
-macro_packetplane pass (median of 3) and appends to
-BENCH_packetplane.json.  Each entry records the commands it ran, the
-host and the commit (`git describe --dirty`), so history is generated,
-not typed.
+--target bench_micro_simcore bench_macro_scale`).  `simcore` runs
+micro_simcore's Scheduler benchmarks (median of 3 repetitions) and
+appends to BENCH_simcore.json; `scale` runs macro_scale at 1k and 10k
+nodes for 5 simulated seconds (median of 3) and appends to
+BENCH_scale.json, with the 1k/10k events/s ratio.  Each entry records
+the commands it ran, the host and the commit (`git describe --dirty`),
+so history is generated, not typed.  The packet plane's end-to-end
+record is the mtsbench paper50 workload; BENCH_packetplane.json is
+frozen history.
 """
 
 import argparse
@@ -30,7 +28,6 @@ ROOT = Path(__file__).resolve().parent.parent
 BUILD = Path("build")
 SCALE_ENV = {"MTS_BENCH_NODES": "1000,10000", "MTS_BENCH_SIM_TIME": "5",
              "MTS_BENCH_REPS": "3"}
-PACKETPLANE_ENV = {"MTS_BENCH_SIM_TIME": "10", "MTS_BENCH_REPS": "3"}
 
 
 def host():
@@ -59,15 +56,11 @@ def google_benchmark(cmd):
             for b in out["benchmarks"] if b.get("aggregate_name") == "median"}
 
 
-def gbench_cmd(binary, *flags):
-    return [str(BUILD / binary), *flags, "--benchmark_min_time=0.5",
-            "--benchmark_repetitions=3",
-            "--benchmark_report_aggregates_only=true",
-            "--benchmark_format=json"]
-
-
 def run_simcore():
-    cmd = gbench_cmd("micro_simcore", "--benchmark_filter=Scheduler")
+    cmd = [str(BUILD / "micro_simcore"), "--benchmark_filter=Scheduler",
+           "--benchmark_min_time=0.5", "--benchmark_repetitions=3",
+           "--benchmark_report_aggregates_only=true",
+           "--benchmark_format=json"]
     return [(cmd, {})], {"results": google_benchmark(cmd)}
 
 
@@ -94,29 +87,8 @@ def run_scale():
     return [(cmd, SCALE_ENV)], measured
 
 
-def run_packetplane():
-    micro = gbench_cmd("micro_fanout")
-    macro = [str(BUILD / "macro_packetplane")]
-    out = subprocess.run(macro, cwd=ROOT,
-                         env={**os.environ, **PACKETPLANE_ENV},
-                         capture_output=True, text=True, check=True).stdout
-    rows = {}
-    for line in out.splitlines():
-        cells = line.split()
-        if len(cells) == 5 and cells[1].isdigit():
-            rows[cells[0]] = {"events": int(cells[1]),
-                              "wall_ms": float(cells[2]),
-                              "events_per_s": int(cells[3]),
-                              "fingerprint": cells[4]}
-    sim_time = PACKETPLANE_ENV["MTS_BENCH_SIM_TIME"]
-    return [(micro, {}), (macro, PACKETPLANE_ENV)], {
-        "micro_fanout": google_benchmark(micro),
-        f"macro_packetplane_{sim_time}s_sim": rows}
-
-
 BENCHES = {"simcore": ("BENCH_simcore.json", run_simcore),
-           "scale": ("BENCH_scale.json", run_scale),
-           "packetplane": ("BENCH_packetplane.json", run_packetplane)}
+           "scale": ("BENCH_scale.json", run_scale)}
 
 
 def shell(cmd, env):

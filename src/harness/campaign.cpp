@@ -220,30 +220,21 @@ void print_adversary_figure(
   print_tables(os, result, cfg, title, unit, metric, precision, true);
 }
 
-namespace {
-
-/// Strict unsigned-integer env parse.  `std::stoul` would throw (and
-/// kill the bench with an unhelpful backtrace) on junk like
-/// `MTS_BENCH_THREADS=max`; instead a malformed or out-of-range value
-/// warns on stderr and reports failure so the caller keeps its default.
-bool parse_env_u64(const char* name, const char* v, std::uint64_t max,
-                   std::uint64_t& out) {
+bool parse_env_u64(const char* name, const char* v, std::uint64_t min,
+                   std::uint64_t max, std::uint64_t& out) {
   errno = 0;
   char* end = nullptr;
   const unsigned long long n = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE || n > max) {
+  if (end == v || *end != '\0' || errno == ERANGE || n < min || n > max) {
     std::cerr << "warning: ignoring " << name << "='" << v
-              << "' (expected an integer in [0, " << max << "])\n";
+              << "' (expected an integer in [" << min << ", " << max
+              << "])\n";
     return false;
   }
   out = n;
   return true;
 }
 
-/// Strict positive-double env parse with the same warn-and-fall-back
-/// contract.  Rejects non-finite values and anything above 1e9: the
-/// consumers multiply by 1e9 (Time::seconds) or feed mobility speeds,
-/// and an `inf`/1e15 would turn into int64 overflow UB downstream.
 bool parse_env_double(const char* name, const char* v, double& out) {
   errno = 0;
   char* end = nullptr;
@@ -258,28 +249,44 @@ bool parse_env_double(const char* name, const char* v, double& out) {
   return true;
 }
 
-std::vector<double> parse_speeds(const char* s) {
-  std::vector<double> out;
-  std::stringstream ss(s);
+namespace {
+
+template <class T, class ParseOne>
+std::vector<T> parse_env_list(const char* v, ParseOne parse_one) {
+  std::vector<T> out;
+  std::stringstream ss(v);
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (item.empty()) continue;
-    double speed = 0.0;
-    if (!parse_env_double("MTS_BENCH_SPEEDS", item.c_str(), speed)) {
-      return {};  // one bad element invalidates the list
-    }
-    out.push_back(speed);
+    T x{};
+    if (!parse_one(item.c_str(), x)) return {};
+    out.push_back(x);
   }
   return out;
 }
 
 }  // namespace
 
+std::vector<std::uint64_t> parse_env_u64_list(const char* name, const char* v,
+                                              std::uint64_t min,
+                                              std::uint64_t max) {
+  return parse_env_list<std::uint64_t>(
+      v, [&](const char* item, std::uint64_t& x) {
+        return parse_env_u64(name, item, min, max, x);
+      });
+}
+
+std::vector<double> parse_env_double_list(const char* name, const char* v) {
+  return parse_env_list<double>(v, [&](const char* item, double& x) {
+    return parse_env_double(name, item, x);
+  });
+}
+
 void apply_bench_env(CampaignConfig& cfg) {
   std::uint64_t n = 0;
   double d = 0.0;
   if (const char* v = std::getenv("MTS_BENCH_REPS")) {
-    if (parse_env_u64("MTS_BENCH_REPS", v, 100000, n) && n > 0) {
+    if (parse_env_u64("MTS_BENCH_REPS", v, 1, 100000, n)) {
       cfg.repetitions = static_cast<std::uint32_t>(n);
     }
   }
@@ -289,11 +296,11 @@ void apply_bench_env(CampaignConfig& cfg) {
     }
   }
   if (const char* v = std::getenv("MTS_BENCH_SPEEDS")) {
-    auto speeds = parse_speeds(v);
+    auto speeds = parse_env_double_list("MTS_BENCH_SPEEDS", v);
     if (!speeds.empty()) cfg.speeds = std::move(speeds);
   }
   if (const char* v = std::getenv("MTS_BENCH_THREADS")) {
-    if (parse_env_u64("MTS_BENCH_THREADS", v, 4096, n)) {
+    if (parse_env_u64("MTS_BENCH_THREADS", v, 0, 4096, n)) {
       cfg.threads = static_cast<unsigned>(n);  // 0 = hardware concurrency
     } else {
       std::cerr << "warning: MTS_BENCH_THREADS falling back to hardware "
@@ -304,7 +311,7 @@ void apply_bench_env(CampaignConfig& cfg) {
     }
   }
   if (const char* v = std::getenv("MTS_BENCH_NODES")) {
-    if (parse_env_u64("MTS_BENCH_NODES", v, 100000, n) && n >= 2) {
+    if (parse_env_u64("MTS_BENCH_NODES", v, 2, 100000, n)) {
       cfg.base.node_count = static_cast<std::uint32_t>(n);
     }
   }

@@ -144,4 +144,25 @@ void print_adversary_figure(
 ///  MTS_BENCH_THREADS, MTS_BENCH_NODES) into `cfg`.
 void apply_bench_env(CampaignConfig& cfg);
 
+// Strict parsers for the value `v` of the environment variable `name`,
+// shared by every bench.  None throws: a malformed or out-of-range value
+// warns on stderr and reports failure (false, or an empty list) so the
+// caller keeps its default.
+
+/// A decimal integer in [min, max].
+bool parse_env_u64(const char* name, const char* v, std::uint64_t min,
+                   std::uint64_t max, std::uint64_t& out);
+
+/// A finite number in (0, 1e9]: the consumers multiply by 1e9
+/// (Time::seconds) or feed mobility speeds, and an `inf` or 1e15 would
+/// overflow int64 downstream.
+bool parse_env_double(const char* name, const char* v, double& out);
+
+/// Comma-separated lists of the above.  Empty elements are skipped; one
+/// bad element invalidates the whole list.
+std::vector<std::uint64_t> parse_env_u64_list(const char* name, const char* v,
+                                              std::uint64_t min,
+                                              std::uint64_t max);
+std::vector<double> parse_env_double_list(const char* name, const char* v);
+
 }  // namespace mts::harness

@@ -216,7 +216,10 @@ void Scheduler::run_until(Time end) {
     if (top().t > end) break;
     dispatch_top(end);
   }
-  if (now_ < end) now_ = end;
+  // A stop() leaves now() at the stopping event: events before `end`
+  // may still be pending, and advancing past them would run them with
+  // time going backwards.
+  if (!stopped_) now_ = end;
 }
 
 std::size_t Scheduler::run_steps(std::size_t n) {

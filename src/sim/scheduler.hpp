@@ -113,7 +113,8 @@ class Scheduler {
   void run();
 
   /// Runs events with timestamp <= `end`; afterwards now() == end (if the
-  /// queue drained earlier, time still advances to `end`).
+  /// queue drained earlier, time still advances to `end`).  If stop()
+  /// ends the run, now() stays at the event that called it.
   void run_until(Time end);
 
   /// Executes at most `n` events; returns the number actually executed.

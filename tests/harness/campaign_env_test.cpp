@@ -80,5 +80,44 @@ TEST_F(BenchEnvTest, TrailingJunkRejected) {
   EXPECT_EQ(cfg.base.sim_time, defaults.base.sim_time);
 }
 
+TEST(BenchEnvParseTest, ScalarJunkIsRejectedWithoutThrowing) {
+  // MTS_BENCH_SIM_TIME=fast used to abort table1 through std::stod.
+  double d = 7.0;
+  EXPECT_FALSE(parse_env_double("MTS_BENCH_SIM_TIME", "fast", d));
+  EXPECT_FALSE(parse_env_double("MTS_BENCH_SIM_TIME", "inf", d));
+  EXPECT_FALSE(parse_env_double("MTS_BENCH_SIM_TIME", "", d));
+  EXPECT_EQ(d, 7.0);
+  std::uint64_t n = 7;
+  EXPECT_FALSE(parse_env_u64("MTS_BENCH_REPS", "0", 1, 10, n));
+  EXPECT_FALSE(parse_env_u64("MTS_BENCH_REPS", "11", 1, 10, n));
+  EXPECT_EQ(n, 7u);
+  EXPECT_TRUE(parse_env_u64("MTS_BENCH_REPS", "10", 1, 10, n));
+  EXPECT_EQ(n, 10u);
+}
+
+TEST(BenchEnvParseTest, ListsSkipEmptyElements) {
+  EXPECT_EQ(parse_env_u64_list("MTS_BENCH_NODES", "1000,,5000,", 2, 100000),
+            (std::vector<std::uint64_t>{1000, 5000}));
+  EXPECT_EQ(parse_env_double_list("MTS_BENCH_SPEEDS", "2.5,10"),
+            (std::vector<double>{2.5, 10.0}));
+  EXPECT_TRUE(parse_env_u64_list("MTS_BENCH_NODES", "", 2, 100000).empty());
+  EXPECT_TRUE(parse_env_u64_list("MTS_BENCH_NODES", ",,", 2, 100000).empty());
+  EXPECT_TRUE(parse_env_double_list("MTS_BENCH_SPEEDS", "").empty());
+}
+
+TEST(BenchEnvParseTest, OneBadElementInvalidatesTheList) {
+  // MTS_BENCH_COALITIONS=two used to abort the sweep through std::stoul,
+  // and MTS_BENCH_NODES=1k used to read as 1 node.
+  EXPECT_TRUE(parse_env_u64_list("MTS_BENCH_COALITIONS", "two", 1, 100000)
+                  .empty());
+  EXPECT_TRUE(parse_env_u64_list("MTS_BENCH_NODES", "1k", 2, 100000).empty());
+  EXPECT_TRUE(parse_env_u64_list("MTS_BENCH_COALITIONS", "1,2,x", 1, 100000)
+                  .empty());
+  EXPECT_TRUE(parse_env_u64_list("MTS_BENCH_NODES", "1000,1", 2, 100000)
+                  .empty());
+  EXPECT_TRUE(parse_env_double_list("MTS_BENCH_SPEEDS", "2,inf").empty());
+  EXPECT_TRUE(parse_env_double_list("MTS_BENCH_SPEEDS", "2,-5").empty());
+}
+
 }  // namespace
 }  // namespace mts::harness

@@ -16,9 +16,10 @@
 namespace mts::harness {
 namespace {
 
-/// The macro_packetplane bench configuration (50 nodes, 40 s, seed 42,
-/// MAXSPEED 10) whose fingerprints BENCH_packetplane.json records.
-ScenarioConfig bench_like(Protocol p) {
+/// The 50-node fingerprint configuration (50 nodes, 40 s, seed 42,
+/// MAXSPEED 10), whose pins below come from the frozen
+/// BENCH_packetplane.json history.
+ScenarioConfig fifty_node(Protocol p) {
   ScenarioConfig cfg;
   cfg.protocol = p;
   cfg.node_count = 50;
@@ -68,8 +69,9 @@ struct Fingerprint {
   std::uint64_t pe;
 };
 
-// BENCH_packetplane.json, "fingerprints_seed42_50n_40s" (captured from
-// the pre-refactor packet plane; unchanged by every refactor since).
+// BENCH_packetplane.json (frozen), "fingerprints_seed42_50n_40s"
+// (captured from the pre-refactor packet plane; unchanged by every
+// refactor since).
 constexpr Fingerprint kPinned50[] = {
     {Protocol::kDsr, 200471, 151, 118, 1},
     {Protocol::kAodv, 1786206, 1406, 241, 446},
@@ -82,7 +84,7 @@ constexpr Fingerprint kPinned50[] = {
 TEST(ScaleTest, FiftyNodeFingerprintsMatchTheBenchBaseline) {
   for (const Fingerprint& fp : kPinned50) {
     for (const bool index : {true, false}) {
-      ScenarioConfig cfg = bench_like(fp.protocol);
+      ScenarioConfig cfg = fifty_node(fp.protocol);
       cfg.channel.use_spatial_index = index;
       const RunMetrics m = run_scenario(cfg);
       const std::string what = std::string(protocol_name(fp.protocol)) +
@@ -151,7 +153,7 @@ TEST(ScaleTest, TwoThousandNodeRunStaysFlat) {
 }
 
 TEST(ScaleTest, CategoryCountersSumToExecutedTotal) {
-  ScenarioConfig cfg = bench_like(Protocol::kMts);
+  ScenarioConfig cfg = fifty_node(Protocol::kMts);
   cfg.sim_time = sim::Time::sec(5);
   const RunMetrics m = run_scenario(cfg);
   const std::uint64_t total = std::accumulate(

@@ -121,6 +121,25 @@ TEST(SchedulerTest, StopHaltsRun) {
   EXPECT_EQ(s.pending_count(), 7u);
 }
 
+TEST(SchedulerTest, StopInsideRunUntilKeepsTheClockAtTheStop) {
+  Scheduler s;
+  std::vector<Time> fired;
+  s.schedule_at(Time::sec(1), [&] {
+    fired.push_back(s.now());
+    s.stop();
+  });
+  s.schedule_at(Time::sec(2), [&] { fired.push_back(s.now()); });
+  s.run_until(Time::sec(5));
+  EXPECT_EQ(s.now(), Time::sec(1));
+  EXPECT_EQ(s.pending_count(), 1u);
+  EXPECT_EQ(s.next_event_time(), Time::sec(2));
+  const Time before = s.now();
+  s.run_until(Time::sec(5));
+  EXPECT_EQ(fired, (std::vector<Time>{Time::sec(1), Time::sec(2)}));
+  EXPECT_GE(fired.back(), before) << "time went backwards";
+  EXPECT_EQ(s.now(), Time::sec(5));
+}
+
 TEST(SchedulerTest, RunStepsExecutesExactly) {
   Scheduler s;
   int count = 0;
@@ -864,7 +883,7 @@ TEST(SchedulerTest, WavesFireLikeIndividuallyScheduledEvents) {
 TEST(SchedulerTest, ChainedWaveStepsStopAtTheRunUntilEnd) {
   // Ends land just past the next event, so they often fall between two
   // steps of one wave: a chained step must not run past the end.  (A
-  // stop() leaves now() at the end with earlier events still pending.)
+  // stop() leaves now() at the stopping event, before the end.)
   expect_waves_fire_like_events([](Scheduler& s, std::mt19937_64& rng) {
     const Time end = std::max(s.now(), s.next_event_time()) +
                      Time::ns(static_cast<std::int64_t>(rng() % 3000));

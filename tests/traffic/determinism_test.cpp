@@ -9,6 +9,8 @@
 // bit-identical event counts, session counters and percentile reports.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "harness/scenario.hpp"
 
 namespace mts::harness {
@@ -24,7 +26,8 @@ ScenarioConfig paper_like(Protocol p) {
   return cfg;
 }
 
-ScenarioConfig bench_like(Protocol p) {
+/// The 50-node config whose fingerprints scale_test.cpp pins.
+ScenarioConfig fifty_node(Protocol p) {
   ScenarioConfig cfg;
   cfg.protocol = p;
   cfg.node_count = 50;
@@ -60,8 +63,8 @@ TEST(TrafficDeterminismTest, DisabledTrafficReplaysThePinned20NodeRun) {
 }
 
 TEST(TrafficDeterminismTest, DisabledTrafficReplaysThePinned50NodeRun) {
-  // The scale_test DSR pin (BENCH_packetplane.json).
-  const RunMetrics m = run_scenario(bench_like(Protocol::kDsr));
+  // The scale_test DSR pin.
+  const RunMetrics m = run_scenario(fifty_node(Protocol::kDsr));
   EXPECT_EQ(m.events_executed, 200471u);
   EXPECT_EQ(m.segments_delivered, 151u);
   EXPECT_EQ(m.control_packets, 118u);
@@ -97,6 +100,33 @@ TEST(TrafficDeterminismTest, EnabledTrafficIsBitStableAcrossRepeats) {
   EXPECT_GT(a.traffic_classes[0].flows_completed +
                 a.traffic_classes[1].flows_completed,
             0u);
+}
+
+TEST(TrafficDeterminismTest, HundredNodeArenaSustainsTwoHundredSessions) {
+  // MTS on 100 nodes at the paper's density (50 per 1000 m x 1000 m),
+  // 20 s, with the arrival rate set for 200 sessions plus 3 % Poisson
+  // headroom: the arena must start them all and both user classes must
+  // report a delivery-delay tail.
+  ScenarioConfig cfg;
+  cfg.protocol = Protocol::kMts;
+  cfg.node_count = 100;
+  const double side = 1000.0 * std::sqrt(100 / 50.0);
+  cfg.field = mobility::Field{side, side};
+  cfg.max_speed = 10.0;
+  cfg.sim_time = sim::Time::sec(20);
+  cfg.flow_count = 10;
+  cfg.seed = 42;
+  cfg.traffic.enabled = true;
+  cfg.traffic.gateway_count = 8;
+  cfg.traffic.user_pool = 64;
+  cfg.traffic.session_rate = 200.0 / 20.0 * 1.03;
+  cfg.traffic.max_concurrent_flows = 16384;
+  const RunMetrics m = run_scenario(cfg);
+  EXPECT_GE(m.sessions_started, 200u);
+  for (std::size_t c = 0; c < traffic::kUserClassCount; ++c) {
+    EXPECT_GT(m.traffic_classes[c].delay_p99_ms, 0.0)
+        << traffic::user_class_name(static_cast<traffic::UserClass>(c));
+  }
 }
 
 TEST(TrafficDeterminismTest, EnabledTrafficChangesTheRun) {
