@@ -75,6 +75,46 @@ void BM_SchedulerTimerRearm(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerTimerRearm)->Arg(10000);
 
+void BM_SchedulerWaveChain(benchmark::State& state) {
+  // One delivery wave per iteration: 70 steps (the paper scenario's
+  // arrivals and ends per transmission) that each book the next, over a
+  // background of 200 pending timers that all sort after the wave, so
+  // every step after the first re-keys the root in place.
+  constexpr int kSteps = 70;
+  constexpr int kTimers = 200;
+  sim::Scheduler sched;
+  std::uint64_t ran = 0;
+  for (int i = 0; i < kTimers; ++i) {
+    sched.schedule_at(sim::Time::sec(1'000'000'000) + sim::Time::ns(i),
+                      [&ran] { ++ran; });
+  }
+  struct Wave {
+    sim::Scheduler* sched;
+    sim::Time t;
+    std::uint64_t seq;
+    int left;
+  } w{&sched, {}, 0, 0};
+  for (auto _ : state) {
+    w.t = sched.now() + sim::Time::us(1);
+    w.seq = sched.reserve_seqs(kSteps);
+    w.left = kSteps;
+    sched.schedule_wave(
+        w.t, w.seq,
+        [&w, &ran] {
+          ++ran;
+          if (--w.left == 0) return;
+          w.t += sim::Time::us(1);
+          w.sched->continue_wave(w.t, ++w.seq, sim::EventCategory::kChannel);
+        },
+        sim::EventCategory::kChannel);
+    sched.run_until(w.t + sim::Time::us(kSteps));
+  }
+  benchmark::DoNotOptimize(ran);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kSteps);
+}
+BENCHMARK(BM_SchedulerWaveChain);
+
 void BM_RngUniform(benchmark::State& state) {
   sim::Rng rng(1);
   double acc = 0;

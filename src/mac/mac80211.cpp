@@ -14,6 +14,7 @@ Mac80211::Mac80211(sim::Scheduler& sched, phy::Radio& radio, MacConfig cfg,
     : sched_(&sched),
       radio_(&radio),
       cfg_(cfg),
+      eifs_(cfg_.sifs + ack_airtime() + cfg_.difs),
       rng_(rng),
       counters_(counters),
       queue_(cfg.queue_capacity),
@@ -46,7 +47,7 @@ Mac80211::Mac80211(sim::Scheduler& sched, phy::Radio& radio, MacConfig cfg,
         // EIFS (802.11 §9.2.3.4): after an undecodable reception, defer
         // long enough for the frame's possible ACK to complete — the
         // hidden-ACK protection basic access depends on.
-        eifs_until_ = sched_->now() + cfg_.sifs + ack_airtime() + cfg_.difs;
+        eifs_until_ = sched_->now() + eifs_;
       },
   });
 }
@@ -83,12 +84,11 @@ void Mac80211::kick() {
   if (state_ == State::kWaitAck || state_ == State::kWaitCts) return;
   if (tx_kind_ != TxKind::kNone) return;  // our frame is on the air
   if (!current_.has_value()) {
-    auto next = queue_.dequeue();
-    if (!next.has_value()) {
+    if (queue_.empty()) {
       state_ = State::kIdle;
       return;
     }
-    current_ = std::move(next);
+    current_ = queue_.dequeue();
     retries_ = 0;
     cw_ = cfg_.cw_min;
   }
@@ -217,9 +217,7 @@ void Mac80211::on_tx_done() {
   tx_kind_ = TxKind::kNone;
   switch (kind) {
     case TxKind::kBroadcast:
-      if (cb_.on_unicast_success) {
-        // Broadcasts are fire-and-forget; no callback.
-      }
+      // Broadcasts are fire-and-forget: no success callback.
       finish_current();
       return;
     case TxKind::kData:

@@ -45,12 +45,12 @@ struct MacConfig {
 /// Implements: physical + virtual (NAV) carrier sense, DIFS deferral,
 /// freezing binary-exponential backoff, post-transmission backoff,
 /// unicast DATA->ACK with retry limit and link-failure callback,
-/// optional RTS/CTS, broadcast without ACK, a priority interface queue,
+/// optional RTS/CTS, broadcast without ACK, EIFS deferral after an
+/// undecodable reception (802.11 §9.2.3.4), a priority interface queue,
 /// and receive-side duplicate filtering.
 ///
-/// Not modelled (documented simplifications): EIFS after corrupted
-/// receptions, fragmentation, and rate adaptation — none of which the
-/// paper's 2005 study models either.
+/// Not modelled (documented simplifications): fragmentation and rate
+/// adaptation — neither of which the paper's 2005 study models either.
 class Mac80211 {
  public:
   struct Callbacks {
@@ -151,6 +151,8 @@ class Mac80211 {
   sim::Scheduler* sched_;
   phy::Radio* radio_;
   MacConfig cfg_;
+  /// EIFS: SIFS + ACK airtime + DIFS, fixed by the config.
+  sim::Time eifs_;
   sim::Rng rng_;
   net::Counters* counters_;
   Callbacks cb_;

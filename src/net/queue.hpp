@@ -53,7 +53,7 @@ class PriQueue {
   [[nodiscard]] std::size_t size() const {
     return control_.size() + data_.size();
   }
-  [[nodiscard]] bool empty() const { return size() == 0; }
+  [[nodiscard]] bool empty() const { return control_.empty() && data_.empty(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t control_size() const { return control_.size(); }
   [[nodiscard]] std::size_t data_size() const { return data_.size(); }

@@ -73,6 +73,7 @@ void Channel::radiate(net::NodeId sender, const mobility::Vec2& sp,
                       const Frame& frame, sim::Time airtime) {
   const sim::Time now = sched_->now();
   const double decode_r = prop_->max_range();
+  const double decode_r2 = decode_r * decode_r;
   const double cs_r = decode_r * cfg_.cs_range_factor;
   Wave& w = acquire_wave();
 
@@ -81,7 +82,10 @@ void Channel::radiate(net::NodeId sender, const mobility::Vec2& sp,
     const mobility::Vec2 rp = position_of(id, now);
     const double d2 = mobility::distance_sq(sp, rp);
     if (d2 > cs_r * cs_r) return;
-    const bool decodable = prop_->link_up(sender, sp, id, rp, now);
+    // link_up never holds beyond max_range() (PropagationModel's
+    // contract), so energy-only receivers skip its virtual call.
+    const bool decodable =
+        d2 <= decode_r2 && prop_->link_up(sender, sp, id, rp, now);
     const double d = std::sqrt(d2);
     w.arrivals.push_back(Wave::Arrival{{now + propagation_delay(d), 0},
                                        entries_[id].radio, d, decodable});

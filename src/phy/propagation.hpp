@@ -23,7 +23,10 @@ class PropagationModel {
   [[nodiscard]] virtual double max_range() const = 0;
 
   /// Link-level decodability: models with per-link state (fading)
-  /// override this; the default is pure geometry.
+  /// override this; the default is pure geometry.  Contract: link_up
+  /// never holds beyond max_range(), i.e. it implies
+  /// distance_sq(a, b) <= max_range()^2, so the channel skips the call
+  /// for receivers farther away.
   [[nodiscard]] virtual bool link_up(std::uint32_t /*tx*/, mobility::Vec2 a,
                                      std::uint32_t /*rx*/, mobility::Vec2 b,
                                      sim::Time /*t*/) const {

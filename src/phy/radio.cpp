@@ -32,7 +32,7 @@ void Radio::start_transmit(const Frame& frame, sim::Time airtime) {
   sim::require(!transmitting(), "Radio: start_transmit while transmitting");
   const bool was_busy = medium_busy();
   // Half duplex: anything being received is lost the instant we key up.
-  for (const std::uint32_t idx : active_) slots_[idx].corrupt = true;
+  for_each_reception([](Reception& rx) { rx.corrupt = true; });
   tx_end_ = sched_->now() + airtime;
   ++sent_;
   if (counters_ != nullptr) ++counters_->mac_tx_frames;
@@ -61,26 +61,17 @@ std::optional<Radio::ReceptionEnd> Radio::begin_reception(const Frame& frame,
   // survive.  Weaker or comparable ongoing receptions are corrupted.
   // The newcomer itself is decodable only if the medium was clear.  The
   // powers matter only here, on overlap, so they are computed here.
-  const bool corrupt = !active_.empty();
+  const bool corrupt = receiving();
   if (corrupt) {
     const double rx_power = capture_power(distance);
-    for (const std::uint32_t idx : active_) {
-      Reception& rx = slots_[idx];
+    for_each_reception([&](Reception& rx) {
       if (capture_power(rx.distance) < rx_power * capture_threshold_) {
         rx.corrupt = true;
       }
-    }
+    });
   }
-  std::uint32_t slot;
-  if (free_.empty()) {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  } else {
-    slot = free_.back();
-    free_.pop_back();
-  }
-  slots_[slot] = Reception{&frame, corrupt, decodable, distance};
-  active_.push_back(slot);
+  const std::uint32_t slot =
+      store_reception(frame, distance, corrupt, decodable);
   // The end's seq is drawn here, where a self-scheduled end event would
   // draw it: before the busy edge below, whose callback may schedule.
   const ReceptionEnd end{sched_->now() + airtime, sched_->reserve_seqs(1),
@@ -90,15 +81,9 @@ std::optional<Radio::ReceptionEnd> Radio::begin_reception(const Frame& frame,
 }
 
 void Radio::end_reception(std::uint32_t slot) {
-  auto it = std::find(active_.begin(), active_.end(), slot);
-  sim::require(it != active_.end(), "Radio: reception record lost");
-  // Swap-remove from the active list, copy the record out, and recycle
-  // the slot *before* running callbacks: a callback may re-enter
-  // begin_reception (MAC responses), which must see a consistent pool.
-  *it = active_.back();
-  active_.pop_back();
-  const Reception rec = slots_[slot];
-  free_.push_back(slot);
+  // Free the record *before* running callbacks: a callback may re-enter
+  // begin_reception (MAC responses), which must see a consistent set.
+  const Reception rec = take_reception(slot);
   if (rec.corrupt) {
     ++collisions_;
     if (counters_ != nullptr) counters_->drop(net::DropReason::kCollision);
@@ -111,6 +96,49 @@ void Radio::end_reception(std::uint32_t slot) {
     if (cb_.on_rx_garbage) cb_.on_rx_garbage();
   }
   medium_edge(/*was_busy=*/true);
+}
+
+std::uint32_t Radio::store_reception(const Frame& frame, double distance,
+                                     bool corrupt, bool decodable) {
+  std::uint32_t slot;
+  Reception* rx;
+  if (inline_used_ != (1u << kInlineReceptions) - 1) {
+    slot = static_cast<std::uint32_t>(std::countr_one(inline_used_));
+    inline_used_ |= 1u << slot;
+    rx = &inline_[slot];
+  } else {
+    slot = spill_slot();
+    rx = &spill_[slot - kInlineReceptions];
+  }
+  rx->frame = &frame;
+  rx->distance = distance;
+  rx->corrupt = corrupt;
+  rx->decodable = decodable;
+  return slot;
+}
+
+std::uint32_t Radio::spill_slot() {
+  ++spilled_;
+  std::size_t j = 0;
+  while (j < spill_.size() && spill_[j].frame != nullptr) ++j;
+  if (j == spill_.size()) spill_.emplace_back();
+  return kInlineReceptions + static_cast<std::uint32_t>(j);
+}
+
+Radio::Reception Radio::take_reception(std::uint32_t slot) {
+  if (slot < kInlineReceptions) {
+    const std::uint32_t bit = 1u << slot;
+    sim::require((inline_used_ & bit) != 0, "Radio: reception record lost");
+    inline_used_ &= ~bit;
+    return inline_[slot];
+  }
+  const std::size_t j = slot - kInlineReceptions;
+  sim::require(j < spill_.size() && spill_[j].frame != nullptr,
+               "Radio: reception record lost");
+  const Reception rec = spill_[j];
+  spill_[j].frame = nullptr;
+  --spilled_;
+  return rec;
 }
 
 void Radio::medium_edge(bool was_busy) {

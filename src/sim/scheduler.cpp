@@ -63,9 +63,8 @@ void Scheduler::sift_up(std::size_t i) {
   heap_[i] = e;
 }
 
-void Scheduler::sift_down(std::size_t i) const {
+void Scheduler::sift_down(std::size_t i, const Entry e) const {
   const std::size_t n = heap_.size();
-  const Entry e = heap_[i];
   for (;;) {
     const std::size_t first = i * kArity + 1;
     if (first >= n) break;
@@ -82,9 +81,9 @@ void Scheduler::sift_down(std::size_t i) const {
 }
 
 void Scheduler::pop_min() const {
-  heap_.front() = heap_.back();
+  const Entry last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
+  if (!heap_.empty()) sift_down(0, last);
 }
 
 void Scheduler::add_tombstone() {
@@ -92,7 +91,7 @@ void Scheduler::add_tombstone() {
   std::erase_if(heap_, [this](const Entry& e) { return entry_dead(e); });
   tombstones_ = 0;
   for (std::size_t i = (heap_.size() + kArity - 2) / kArity; i-- > 0;) {
-    sift_down(i);  // bottom-up heapify over the internal nodes
+    sift_down(i, heap_[i]);  // bottom-up heapify over the internal nodes
   }
 }
 
@@ -112,7 +111,7 @@ void Scheduler::dispatch_top(Time horizon) {
   ++executed_;
   ++executed_by_[static_cast<std::size_t>(slot.cat)];
   if (slot.wave) {
-    run_wave_steps(s, horizon);
+    run_wave_steps(s, e.key, horizon);
     return;
   }
   pop_min();
@@ -128,15 +127,16 @@ void Scheduler::dispatch_top(Time horizon) {
   fn();
 }
 
-bool Scheduler::root_sorts_first() const {
+bool Scheduler::sorts_before_root_children(const Entry& e) const {
   const std::size_t last = std::min<std::size_t>(kArity + 1, heap_.size());
   for (std::size_t c = 1; c < last; ++c) {
-    if (heap_[c].before(heap_.front())) return false;
+    if (heap_[c].before(e)) return false;
   }
   return true;
 }
 
-void Scheduler::run_wave_steps(std::uint32_t s, Time horizon) {
+void Scheduler::run_wave_steps(std::uint32_t s, std::uint64_t key,
+                               Time horizon) {
   // Each step runs with the wave's entry live at the root.  Everything
   // the step inserts sorts after it (time >= now_, a fresh seq), and a
   // compaction keeps it there (it is live and the minimum), so afterwards
@@ -144,29 +144,32 @@ void Scheduler::run_wave_steps(std::uint32_t s, Time horizon) {
   // the re-keyed root still sorts before its children, the dispatch loop
   // would pick it next: unless stop() was called or the step lies past
   // the horizon, run it here.  A tombstone among the children only ends
-  // the chain early.
+  // the chain early.  The booked step travels as two scalars and is
+  // written back field by field: it is never reloaded as a whole Entry.
   Slot& slot = slot_at(s);
   for (;;) {
-    const std::uint64_t key = heap_.front().key;
     stepping_ = s;
-    wave_next_.key = kDeadKey;
+    wave_next_key_ = kDeadKey;
     slot.fn();
     stepping_ = kNullIndex;
     require(heap_.front().key == key, "Scheduler: wave entry left the root");
-    if (wave_next_.key == kDeadKey) {
+    key = wave_next_key_;
+    if (key == kDeadKey) {
       pop_min();
       release_slot(s);
       --live_count_;
       return;
     }
-    slot.live_key = wave_next_.key;
+    const Entry next{wave_next_t_, key};
+    slot.live_key = key;
     slot.cat = wave_next_cat_;
-    heap_.front() = wave_next_;
-    if (stopped_ || wave_next_.t > horizon || !root_sorts_first()) {
-      sift_down(0);
+    if (stopped_ || next.t > horizon || !sorts_before_root_children(next)) {
+      sift_down(0, next);
       return;
     }
-    now_ = wave_next_.t;
+    heap_.front().t = next.t;
+    heap_.front().key = key;
+    now_ = next.t;
     ++executed_;
     ++executed_by_[static_cast<std::size_t>(slot.cat)];
   }

@@ -159,7 +159,8 @@ class Scheduler {
   void continue_wave(Time t, std::uint64_t seq, EventCategory cat) {
     require(stepping_ != kNullIndex, "Scheduler: continue_wave outside a step");
     require(t >= now_, "Scheduler: cannot schedule into the past");
-    wave_next_ = Entry{t, pack_key(seq, stepping_)};
+    wave_next_t_ = t;
+    wave_next_key_ = pack_key(seq, stepping_);
     wave_next_cat_ = cat;
   }
 
@@ -295,7 +296,10 @@ class Scheduler {
     sift_up(heap_.size() - 1);
   }
   void sift_up(std::size_t i);
-  void sift_down(std::size_t i) const;
+  /// Files `e` into the hole at `i` (whatever `i` holds is overwritten)
+  /// and restores the heap below it.  `e` comes in by value, so a caller
+  /// that has just built it in registers never stores and reloads it.
+  void sift_down(std::size_t i, Entry e) const;
   /// Removes the heap's minimum entry.
   void pop_min() const;
   /// Counts a new tombstone; once they outnumber max(64, live events),
@@ -310,10 +314,12 @@ class Scheduler {
   /// that would be the next pop.  Pre-condition: peek_live() returned
   /// true.
   void dispatch_top(Time horizon);
-  void run_wave_steps(std::uint32_t s, Time horizon);
-  /// Whether the root sorts before each of its children, i.e. is the
-  /// minimum (tombstones included).
-  [[nodiscard]] bool root_sorts_first() const;
+  /// Runs the steps of the wave in slot `s`, whose entry (keyed `key`)
+  /// is the root.
+  void run_wave_steps(std::uint32_t s, std::uint64_t key, Time horizon);
+  /// Whether `e` sorts before each of the root's children, i.e. would be
+  /// the minimum at the root (tombstones included).
+  [[nodiscard]] bool sorts_before_root_children(const Entry& e) const;
   /// A horizon before every event: run_steps() runs one step per call.
   static constexpr Time kNoChaining = Time::ns(-1);
 
@@ -325,8 +331,13 @@ class Scheduler {
   std::size_t live_count_ = 0;
   bool stopped_ = false;
   /// Slot of the wave whose step is running, and the step it booked.
+  /// Time and key are two scalars, never one Entry: run_wave_steps reads
+  /// them right after continue_wave stored them, and reloading the pair
+  /// as one 16-byte aggregate from two 8-byte stores stalls store
+  /// forwarding on every step.
   std::uint32_t stepping_ = kNullIndex;
-  Entry wave_next_{};
+  Time wave_next_t_{};
+  std::uint64_t wave_next_key_ = kDeadKey;
   EventCategory wave_next_cat_ = EventCategory::kOther;
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;

@@ -444,5 +444,74 @@ TEST_F(RadioChannelTest, WaveStoppedBeforeItsEndsReleasesItsPacket) {
   expect_teardown_releases_packet(sim::Time::us(10));
 }
 
+TEST_F(RadioChannelTest, ReceptionBurstBeyondTheInlineRecordsSpills) {
+  // Twelve injected frames overlap at radio 0, more than its inline
+  // reception records hold, so the last ones spill.  A second burst
+  // after the first has ended reuses the spilled records.
+  build({{0, 0}});
+  std::vector<std::pair<bool, sim::Time>> edges;
+  int garbage = 0;
+  radios_[0]->set_callbacks(Radio::Callbacks{
+      [this](const Frame& f) { received_[0].push_back(f); },
+      [&](bool busy) { edges.emplace_back(busy, sched_.now()); },
+      nullptr,
+      [&garbage] { ++garbage; },
+  });
+  const sim::Time airtime = sim::Time::ms(1);
+  const sim::Time gap = sim::Time::us(20);
+  // Frame i leaves sender i + 1 at start + i * gap from `dists[i]` metres;
+  // returns when the last reception ends.
+  auto burst = [&](sim::Time start, const std::vector<double>& dists) {
+    for (std::size_t i = 0; i < dists.size(); ++i) {
+      sched_.run_until(start + gap * static_cast<std::int64_t>(i));
+      const auto sender = static_cast<net::NodeId>(i + 1);
+      channel_->inject(sender, {dists[i], 0}, frame(sender, 0), airtime);
+    }
+    return start + gap * static_cast<std::int64_t>(dists.size() - 1) +
+           propagation_delay(dists.back()) + airtime;
+  };
+
+  // Burst 1: the first frame, from 5 m, outpowers every later one by far
+  // more than the 10x capture ratio ((100 / 5)^4), so it survives all
+  // eleven and decodes; the eleven newcomers, each arriving while the
+  // radio is busy, all corrupt.
+  const sim::Time end1 =
+      burst(sim::Time::ms(1), {5, 100, 110, 120, 130, 140, 150, 160, 170,
+                               180, 190, 200});
+  sched_.run();
+  ASSERT_EQ(received_[0].size(), 1u);
+  EXPECT_EQ(received_[0][0].transmitter, 1u);
+  EXPECT_EQ(radios_[0]->frames_decoded(), 1u);
+  EXPECT_EQ(radios_[0]->collisions(), 11u);
+  EXPECT_EQ(garbage, 11);
+  // Busy from the first arrival, idle exactly once: after the last end.
+  ASSERT_EQ(edges.size(), 2u);
+  EXPECT_TRUE(edges[0].first);
+  EXPECT_EQ(edges[0].second, sim::Time::ms(1) + propagation_delay(5.0));
+  EXPECT_FALSE(edges[1].first);
+  EXPECT_EQ(edges[1].second, end1);
+  EXPECT_FALSE(radios_[0]->medium_busy());
+
+  // Burst 2: the first frame, from 150 m, is within 10x of the first
+  // newcomer's power ((200 / 150)^4 ~ 3.2), so it corrupts too: nothing
+  // decodes.
+  edges.clear();
+  const sim::Time end2 =
+      burst(sim::Time::ms(10), {150, 200, 100, 210, 220, 230, 240, 245,
+                                 235, 225, 215, 205});
+  sched_.run();
+  EXPECT_EQ(received_[0].size(), 1u);
+  EXPECT_EQ(radios_[0]->frames_decoded(), 1u);
+  EXPECT_EQ(radios_[0]->collisions(), 23u);
+  EXPECT_EQ(garbage, 23);
+  EXPECT_EQ(counters_[0].dropped(net::DropReason::kCollision), 23u);
+  ASSERT_EQ(edges.size(), 2u);
+  EXPECT_TRUE(edges[0].first);
+  EXPECT_FALSE(edges[1].first);
+  EXPECT_EQ(edges[1].second, end2);
+  EXPECT_FALSE(radios_[0]->medium_busy());
+  EXPECT_EQ(sched_.pending_count(), 0u);
+}
+
 }  // namespace
 }  // namespace mts::phy
